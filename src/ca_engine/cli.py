@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .errors import EngineError, StorageError
@@ -417,121 +418,151 @@ def cmd_replay(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@dataclass(frozen=True)
+class Command:
+    """One leaf command: its words after ``ca``, help line, handler and arguments."""
+
+    path: tuple[str, ...]
+    help: str
+    func: Callable[[argparse.Namespace], int]
+    args: tuple[tuple[tuple, dict], ...] = ()
+
+
+def _arg(*names: str, **kwargs) -> tuple[tuple, dict]:
+    return names, kwargs
+
+
+_KINDS = [k.value for k in ArtifactKind]
+
+GROUPS = {
+    "artifact": "content-addressed artifact store",
+    "flow": "experiment flow graphs",
+    "event": "change events",
+    "run": "experiment runs",
+    "gate": "promotion gate",
+    "lineage": "provenance queries",
+}
+
+# The single source of both parsers; the order is the order of ``ca --help``.
+COMMANDS = (
+    Command(("init",), "create the repository skeleton", cmd_init, (
+        _arg("--pin", action="append", metavar="COMPONENT=VERSION[@HASH]", help="seed a main branch pin"),
+    )),
+    Command(("artifact", "put"), "store a blob", cmd_artifact_put, (
+        _arg("file", help="path to the blob, or - for stdin"),
+        _arg("--kind", required=True, choices=_KINDS),
+        _arg("--media-type", default="application/octet-stream"),
+        _arg("--label", action="append", metavar="KEY=VALUE"),
+    )),
+    Command(("artifact", "get"), "print a blob", cmd_artifact_get, (_arg("id"), _arg("-o", "--output"))),
+    Command(("artifact", "verify"), "check a blob against its digest", cmd_artifact_verify, (_arg("id"),)),
+    Command(("artifact", "ls"), "list artifact records", cmd_artifact_ls, (
+        _arg("--kind", choices=_KINDS),
+        _arg("--label", action="append", metavar="KEY=VALUE"),
+    )),
+    Command(("flow", "validate"), "check a manifest", cmd_flow_validate, (_arg("manifest"),)),
+    Command(("flow", "graph"), "render a manifest as DOT", cmd_flow_graph, (_arg("manifest"),)),
+    Command(("flow", "run"), "execute a flow", cmd_flow_run, (
+        _arg("manifest", nargs="?", help="flow manifest (defaults to config flow_manifest)"),
+        _arg("--branch", default=MAIN_BRANCH),
+        _arg("--event", help="execute the validation run planned for this event id"),
+    )),
+    Command(("event", "emit"), "ingest a change event", cmd_event_emit, (
+        _arg("--source", required=True, choices=["code", "data", "dependencies", "deployment"]),
+        _arg("--ref", required=True, help="branch or tag the change landed on"),
+        _arg("--version", required=True),
+        _arg("--content", help="content hash backing the new version"),
+        _arg("--id", help="caller-supplied event id (defaults to a fresh one)"),
+    )),
+    Command(("run", "ls"), "list runs", cmd_run_ls),
+    Command(("run", "show"), "show one run", cmd_run_show, (_arg("run_id"),)),
+    Command(("run", "diff"), "compare two aligned runs", cmd_run_diff, (_arg("run_a"), _arg("run_b"))),
+    Command(("gate", "eval"), "evaluate the gate policy for a run", cmd_gate_eval, (_arg("run_id"),)),
+    Command(("approve",), "approve a validation run", cmd_approve, (
+        _arg("run_id"),
+        _arg("--by", required=True, help="approver identity"),
+        _arg("--auto-release", action="store_true", help="run the release immediately"),
+        _arg("--flow", help="flow manifest for --auto-release"),
+    )),
+    Command(("reject",), "reject a validation run", cmd_reject, (
+        _arg("run_id"),
+        _arg("--by", required=True),
+        _arg("--reason", required=True),
+    )),
+    Command(("release",), "run the release for an approved run", cmd_release, (
+        _arg("run_id"),
+        _arg("--flow", help="flow manifest (defaults to config flow_manifest)"),
+    )),
+    Command(
+        ("lineage", "who-uses"), "runs consuming or pinning an artifact", cmd_lineage_who_uses, (_arg("artifact"),)
+    ),
+    Command(("lineage", "provenance"), "upstream closure of an artifact", cmd_lineage_provenance, (_arg("artifact"),)),
+    Command(("replay",), "re-execute a run and compare outputs", cmd_replay, (
+        _arg("run_id"),
+        _arg("--flow", help="flow manifest (defaults to config flow_manifest)"),
+    )),
+)
+
+
+def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--repo", help="repository directory (default ./.ca or $CA_REPO)")
     common.add_argument("--json", action="store_true", help="emit one JSON document on stdout")
     common.add_argument("--parallelism", type=int, help="max concurrent flow steps")
+    return common
 
-    parser = argparse.ArgumentParser(prog="ca", description="Continuous analysis engine")
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("init", parents=[common], help="create the repository skeleton")
-    p.add_argument("--pin", action="append", metavar="COMPONENT=VERSION[@HASH]", help="seed a main branch pin")
-    p.set_defaults(func=cmd_init)
-
-    artifact = sub.add_parser("artifact", help="content-addressed artifact store").add_subparsers(
-        dest="artifact_command", required=True
-    )
-    p = artifact.add_parser("put", parents=[common], help="store a blob")
-    p.add_argument("file", help="path to the blob, or - for stdin")
-    p.add_argument("--kind", required=True, choices=[k.value for k in ArtifactKind])
-    p.add_argument("--media-type", default="application/octet-stream")
-    p.add_argument("--label", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_artifact_put)
-    p = artifact.add_parser("get", parents=[common], help="print a blob")
-    p.add_argument("id")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_artifact_get)
-    p = artifact.add_parser("verify", parents=[common], help="check a blob against its digest")
-    p.add_argument("id")
-    p.set_defaults(func=cmd_artifact_verify)
-    p = artifact.add_parser("ls", parents=[common], help="list artifact records")
-    p.add_argument("--kind", choices=[k.value for k in ArtifactKind])
-    p.add_argument("--label", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_artifact_ls)
-
-    flow = sub.add_parser("flow", help="experiment flow graphs").add_subparsers(
-        dest="flow_command", required=True
-    )
-    p = flow.add_parser("validate", parents=[common], help="check a manifest")
-    p.add_argument("manifest")
-    p.set_defaults(func=cmd_flow_validate)
-    p = flow.add_parser("graph", parents=[common], help="render a manifest as DOT")
-    p.add_argument("manifest")
-    p.set_defaults(func=cmd_flow_graph)
-    p = flow.add_parser("run", parents=[common], help="execute a flow")
-    p.add_argument("manifest", nargs="?", help="flow manifest (defaults to config flow_manifest)")
-    p.add_argument("--branch", default=MAIN_BRANCH)
-    p.add_argument("--event", help="execute the validation run planned for this event id")
-    p.set_defaults(func=cmd_flow_run)
-
-    event = sub.add_parser("event", help="change events").add_subparsers(dest="event_command", required=True)
-    p = event.add_parser("emit", parents=[common], help="ingest a change event")
-    p.add_argument("--source", required=True, choices=["code", "data", "dependencies", "deployment"])
-    p.add_argument("--ref", required=True, help="branch or tag the change landed on")
-    p.add_argument("--version", required=True)
-    p.add_argument("--content", help="content hash backing the new version")
-    p.add_argument("--id", help="caller-supplied event id (defaults to a fresh one)")
-    p.set_defaults(func=cmd_event_emit)
-
-    run = sub.add_parser("run", help="experiment runs").add_subparsers(dest="run_command", required=True)
-    p = run.add_parser("ls", parents=[common], help="list runs")
-    p.set_defaults(func=cmd_run_ls)
-    p = run.add_parser("show", parents=[common], help="show one run")
-    p.add_argument("run_id")
-    p.set_defaults(func=cmd_run_show)
-    p = run.add_parser("diff", parents=[common], help="compare two aligned runs")
-    p.add_argument("run_a")
-    p.add_argument("run_b")
-    p.set_defaults(func=cmd_run_diff)
-
-    gate = sub.add_parser("gate", help="promotion gate").add_subparsers(dest="gate_command", required=True)
-    p = gate.add_parser("eval", parents=[common], help="evaluate the gate policy for a run")
-    p.add_argument("run_id")
-    p.set_defaults(func=cmd_gate_eval)
-
-    p = sub.add_parser("approve", parents=[common], help="approve a validation run")
-    p.add_argument("run_id")
-    p.add_argument("--by", required=True, help="approver identity")
-    p.add_argument("--auto-release", action="store_true", help="run the release immediately")
-    p.add_argument("--flow", help="flow manifest for --auto-release")
-    p.set_defaults(func=cmd_approve)
-
-    p = sub.add_parser("reject", parents=[common], help="reject a validation run")
-    p.add_argument("run_id")
-    p.add_argument("--by", required=True)
-    p.add_argument("--reason", required=True)
-    p.set_defaults(func=cmd_reject)
-
-    p = sub.add_parser("release", parents=[common], help="run the release for an approved run")
-    p.add_argument("run_id")
-    p.add_argument("--flow", help="flow manifest (defaults to config flow_manifest)")
-    p.set_defaults(func=cmd_release)
-
-    lineage = sub.add_parser("lineage", help="provenance queries").add_subparsers(
-        dest="lineage_command", required=True
-    )
-    p = lineage.add_parser("who-uses", parents=[common], help="runs consuming or pinning an artifact")
-    p.add_argument("artifact")
-    p.set_defaults(func=cmd_lineage_who_uses)
-    p = lineage.add_parser("provenance", parents=[common], help="upstream closure of an artifact")
-    p.add_argument("artifact")
-    p.set_defaults(func=cmd_lineage_provenance)
-
-    p = sub.add_parser("replay", parents=[common], help="re-execute a run and compare outputs")
-    p.add_argument("run_id")
-    p.add_argument("--flow", help="flow manifest (defaults to config flow_manifest)")
-    p.set_defaults(func=cmd_replay)
-
+def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> argparse.ArgumentParser:
+    for names, kwargs in command.args:
+        parser.add_argument(*names, **kwargs)
+    parser.set_defaults(func=command.func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``ca`` parser with every command."""
+    common = _common_options()
+    parser = argparse.ArgumentParser(prog="ca", description="Continuous analysis engine")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups: dict[str, argparse._SubParsersAction] = {}
+    for command in COMMANDS:
+        *group, name = command.path
+        target = sub
+        if group:
+            (group,) = group
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=GROUPS[group]).add_subparsers(
+                    dest=f"{group}_command", required=True
+                )
+            target = groups[group]
+        _add_arguments(target.add_parser(name, parents=[common], help=command.help), command)
+    return parser
+
+
+def leaf_parser(command: Command) -> argparse.ArgumentParser:
+    """The parser of one command alone, equal to its subparser in :func:`build_parser`."""
+    parser = argparse.ArgumentParser(prog=" ".join(("ca", *command.path)), parents=[_common_options()])
+    return _add_arguments(parser, command)
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the invoked command's parser when argv starts with one.
+
+    Top-level flags, groups without a command, unknown commands and leftover
+    arguments go to the full parser, so help, errors and exit codes match it.
+    """
+    command = next((c for c in COMMANDS if tuple(argv[: len(c.path)]) == c.path), None)
+    if command is not None:
+        args, extra = leaf_parser(command).parse_known_args(argv[len(command.path) :])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

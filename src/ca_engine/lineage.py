@@ -17,10 +17,10 @@ from .errors import MissingInputError, RunNotFoundError
 from .feedback import collect, find_metrics_artifact
 from .flow.graph import FlowGraph
 from .flow.runner import DataScope, execute
+from .journal import Journal
 from .repo import Repository
 from .store import ArtifactId, ArtifactStore
 from .tuples import RunRecord, RunStore, StepOutcome
-from .util import append_line, canonical_json, read_jsonl
 
 ROLE_CONSUMED = "consumed"
 ROLE_PRODUCED = "produced"
@@ -44,49 +44,30 @@ class LineageEdge:
     def to_dict(self) -> dict:
         return {"from": self.src, "to": self.dst, "role": self.role}
 
-    @classmethod
-    def from_dict(cls, row: dict) -> "LineageEdge":
-        return cls(row["from"], row["to"], row["role"])
+
+def _edge_key(row: dict) -> tuple[str, str, str]:
+    return row["from"], row["to"], row["role"]
 
 
 class LineageLog:
-    """Append-only edge log with an in-memory adjacency cache."""
+    """Append-only edge log: a :class:`Journal` keyed by (src, dst, role), read on first query."""
 
     def __init__(self, repo: Repository):
         repo.require()
         self._repo = repo
-        self._edges: list[LineageEdge] = []
-        self._edge_set: set[LineageEdge] = set()
-        self._size = -1
-        self._refresh()
-
-    def _refresh(self) -> None:
-        path = self._repo.lineage_path
-        size = path.stat().st_size if path.exists() else 0
-        if size == self._size:
-            return
-        self._edges = [LineageEdge.from_dict(row) for row in read_jsonl(path)]
-        self._edge_set = set(self._edges)
-        self._size = size
+        self._journal = Journal(repo.lineage_path, _edge_key)
 
     def edges(self) -> list[LineageEdge]:
-        self._refresh()
-        return list(self._edges)
+        return [LineageEdge(*key) for key in self._journal.rows()]
 
     def append_edges(self, edges: Iterable[LineageEdge]) -> int:
-        """Append edges not already present; returns how many were added."""
-        new = []
+        """Append edges not already present in one batch; returns how many were added."""
         with self._repo.write_lock():
-            self._refresh()
-            for edge in edges:
-                if edge not in self._edge_set and edge not in new:
-                    new.append(edge)
-            for edge in new:
-                append_line(self._repo.lineage_path, canonical_json(edge.to_dict()))
-                self._edges.append(edge)
-                self._edge_set.add(edge)
-            self._size = self._repo.lineage_path.stat().st_size
-        return len(new)
+            known = self._journal.rows()
+            new = {(e.src, e.dst, e.role): e for e in edges}
+            rows = [edge.to_dict() for key, edge in new.items() if key not in known]
+            self._journal.append(rows)
+        return len(rows)
 
     # -- recording -----------------------------------------------------------
 
@@ -102,13 +83,7 @@ class LineageLog:
             outcomes = run.step_outcomes
         node = run_ref(run.run_id)
         desired: list[LineageEdge] = []
-        seen: set[LineageEdge] = set()
-
-        def add(edge: LineageEdge) -> None:
-            if edge not in seen:
-                desired.append(edge)
-                seen.add(edge)
-
+        add = desired.append  # append_edges drops repeats
         for outcome in outcomes:
             for source in outcome.input_sources.values():
                 if source.startswith("artifact:"):
@@ -132,9 +107,9 @@ class LineageLog:
         """Runs with a consumed or pinned edge from the artifact, by start time."""
         node = artifact_ref(artifact_id)
         tokens = {
-            edge.dst.removeprefix("run:")
-            for edge in self.edges()
-            if edge.src == node and edge.role in (ROLE_CONSUMED, ROLE_PINNED)
+            dst.removeprefix("run:")
+            for src, dst, role in self._journal.rows()
+            if src == node and role in (ROLE_CONSUMED, ROLE_PINNED)
         }
 
         def sort_key(token: str):
@@ -149,11 +124,11 @@ class LineageLog:
         """Upstream closure: the artifact, its producing runs, their inputs, and so on."""
         producers: dict[str, set[str]] = {}
         inputs: dict[str, set[str]] = {}
-        for edge in self.edges():
-            if edge.role == ROLE_PRODUCED:
-                producers.setdefault(edge.dst, set()).add(edge.src)
+        for src, dst, role in self._journal.rows():
+            if role == ROLE_PRODUCED:
+                producers.setdefault(dst, set()).add(src)
             else:
-                inputs.setdefault(edge.dst, set()).add(edge.src)
+                inputs.setdefault(dst, set()).add(src)
         start = artifact_ref(artifact_id)
         closure: set[str] = set()
         frontier = [start]

@@ -40,6 +40,7 @@ from .feedback import (
 )
 from .flow.graph import FlowGraph
 from .flow.runner import DataScope, execute
+from .journal import Journal
 from .lineage import LineageLog
 from .repo import Repository
 from .store import ArtifactId, ArtifactStore
@@ -50,7 +51,7 @@ from .tuples import (
     RunStore,
     VersionPin,
 )
-from .util import append_line, atomic_write_json, canonical_json, load_json, read_jsonl, utc_now_iso
+from .util import atomic_write_json, load_json, utc_now_iso
 
 EVENT_SOURCES = ("code", "data", "dependencies", "deployment")
 MAIN_BRANCH = "main"
@@ -84,17 +85,6 @@ class ChangeEvent:
             "new_pin": {"component": self.new_pin.component, **self.new_pin.to_dict()},
             "at": self.at,
         }
-
-    @classmethod
-    def from_dict(cls, row: Mapping) -> "ChangeEvent":
-        pin = row["new_pin"]
-        return cls(
-            event_id=row["event_id"],
-            source=row["source"],
-            ref=row["ref"],
-            new_pin=VersionPin(pin["component"], pin["version"], pin.get("content")),
-            at=row["at"],
-        )
 
 
 @dataclass
@@ -204,57 +194,6 @@ def subset_select(dataset_manifest: Sequence[str], fraction: float, seed: int) -
     return [item for _, item in sorted(kept)]
 
 
-class _EventLog:
-    """One ChangeEvent per line, carrying the plan resolved at first ingest."""
-
-    def __init__(self, repo: Repository):
-        self._repo = repo
-
-    def find(self, event_id: str) -> tuple[ChangeEvent, ValidationPlan] | None:
-        for row in read_jsonl(self._repo.events_path):
-            if row["event_id"] == event_id:
-                return ChangeEvent.from_dict(row), ValidationPlan.from_dict(row["plan"])
-        return None
-
-    def append(self, event: ChangeEvent, plan: ValidationPlan) -> None:
-        append_line(
-            self._repo.events_path,
-            canonical_json({**event.to_dict(), "plan": plan.to_dict()}),
-        )
-
-    def entries(self) -> list[tuple[ChangeEvent, ValidationPlan]]:
-        return [
-            (ChangeEvent.from_dict(row), ValidationPlan.from_dict(row["plan"]))
-            for row in read_jsonl(self._repo.events_path)
-        ]
-
-
-class _PromotionLog:
-    def __init__(self, repo: Repository):
-        self._repo = repo
-
-    def find_decision(self, run_id: str) -> PromotionRequest | None:
-        for row in read_jsonl(self._repo.promotions_path):
-            if row.get("type") == "decision" and row["run_id"] == run_id:
-                return PromotionRequest(row["run_id"], row["approver"], row["decision"], row["reason"], row["at"])
-        return None
-
-    def find_release(self, run_id: str) -> str | None:
-        for row in read_jsonl(self._repo.promotions_path):
-            if row.get("type") == "release" and row["run_id"] == run_id:
-                return row["release_run_id"]
-        return None
-
-    def append_decision(self, request: PromotionRequest) -> None:
-        append_line(self._repo.promotions_path, canonical_json({"type": "decision", **request.to_dict()}))
-
-    def append_release(self, run_id: str, release_run_id: str) -> None:
-        append_line(
-            self._repo.promotions_path,
-            canonical_json({"type": "release", "run_id": run_id, "release_run_id": release_run_id, "at": utc_now_iso()}),
-        )
-
-
 class Pipeline:
     """Binds the event log, branch pins, gate policy, and flow execution together."""
 
@@ -277,8 +216,9 @@ class Pipeline:
         self.subset_fraction = subset_fraction
         self.subset_seed = subset_seed
         self.parallelism = parallelism
-        self._events = _EventLog(repo)
-        self._promotions = _PromotionLog(repo)
+        # events.jsonl: one ChangeEvent per line, with the plan resolved at first ingest.
+        self._events = Journal(repo.events_path, key=lambda row: row["event_id"])
+        self._promotions = Journal(repo.promotions_path, key=lambda row: (row["type"], row["run_id"]))
 
     # -- branch pins -----------------------------------------------------------
 
@@ -316,25 +256,40 @@ class Pipeline:
     def ingest_event(self, event: ChangeEvent) -> ValidationPlan:
         """Plan the validation run for a change event; idempotent per event id."""
         event.validate()
-        existing = self._events.find(event.event_id)
+        existing = self.find_plan(event.event_id)
         if existing is not None:
-            return existing[1]
+            return existing
         current = self.branch_pins(event.ref)
         plan = ValidationPlan(event.event_id, event.ref, resolve_tuple(event, current))
         with self.repo.write_lock():
             # Re-check under the lock so concurrent ingests stay idempotent.
-            rechecked = self._events.find(event.event_id)
+            rechecked = self.find_plan(event.event_id)
             if rechecked is not None:
-                return rechecked[1]
-            self._events.append(event, plan)
+                return rechecked
+            self._events.append([{**event.to_dict(), "plan": plan.to_dict()}])
         return plan
 
     def planned_runs(self) -> list[ValidationPlan]:
-        return [plan for _, plan in self._events.entries()]
+        return [ValidationPlan.from_dict(row["plan"]) for row in self._events.rows().values()]
 
     def find_plan(self, event_id: str) -> ValidationPlan | None:
-        found = self._events.find(event_id)
-        return found[1] if found else None
+        row = self._events.get(event_id)
+        return ValidationPlan.from_dict(row["plan"]) if row is not None else None
+
+    # -- promotions -----------------------------------------------------------
+
+    def _decision(self, run_id: str) -> PromotionRequest | None:
+        row = self._promotions.get(("decision", run_id))
+        if row is None:
+            return None
+        return PromotionRequest(row["run_id"], row["approver"], row["decision"], row["reason"], row["at"])
+
+    def _release_of(self, run_id: str) -> str | None:
+        row = self._promotions.get(("release", run_id))
+        return row["release_run_id"] if row is not None else None
+
+    def _append_decision(self, request: PromotionRequest) -> None:
+        self._promotions.append([{"type": "decision", **request.to_dict()}])
 
     # -- data scope ---------------------------------------------------------
 
@@ -409,7 +364,7 @@ class Pipeline:
 
     def _check_approvable(self, run_id: str) -> RunRecord:
         record = self.run_store.load(run_id)
-        if self._promotions.find_decision(run_id) is not None:
+        if self._decision(run_id) is not None:
             raise AlreadyDecidedError(f"run {run_id} already has a promotion decision")
         if record.kind != "validation":
             raise RunNotSucceededError(f"run {run_id} is a {record.kind} run, not an approvable validation run")
@@ -426,24 +381,24 @@ class Pipeline:
         with self.repo.write_lock():
             self._check_approvable(run_id)
             request = PromotionRequest(run_id, approver, "approved", "", utc_now_iso())
-            self._promotions.append_decision(request)
+            self._append_decision(request)
         return request
 
     def reject(self, run_id: str, approver: str, reason: str) -> PromotionRequest:
         with self.repo.write_lock():
             self._check_approvable(run_id)
             request = PromotionRequest(run_id, approver, "rejected", reason, utc_now_iso())
-            self._promotions.append_decision(request)
+            self._append_decision(request)
         return request
 
     # -- release ---------------------------------------------------------------
 
     def run_release(self, approved_run: str, graph: FlowGraph, executor) -> RunRecord:
         """Run the approved tuple full-scope on main; update main pins on success."""
-        decision = self._promotions.find_decision(approved_run)
+        decision = self._decision(approved_run)
         if decision is None or decision.decision != "approved":
             raise NotApprovedError(f"run {approved_run} has no approved promotion request")
-        released = self._promotions.find_release(approved_run)
+        released = self._release_of(approved_run)
         if released is not None:
             raise AlreadyReleasedError(f"run {approved_run} was already released as {released}")
         validation = self.run_store.load(approved_run)
@@ -463,7 +418,7 @@ class Pipeline:
             return release
 
         with self.repo.write_lock():
-            if self._promotions.find_release(approved_run) is not None:
+            if self._release_of(approved_run) is not None:
                 raise AlreadyReleasedError(f"run {approved_run} was released concurrently")
             table = self._load_pins()
             entry = table.get(MAIN_BRANCH) or BranchPins(MAIN_BRANCH)
@@ -472,7 +427,9 @@ class Pipeline:
             entry.result_refs = list(release.result_ids)
             table[MAIN_BRANCH] = entry
             self._save_pins(table)
-            self._promotions.append_release(approved_run, release.run_id)
+            self._promotions.append(
+                [{"type": "release", "run_id": approved_run, "release_run_id": release.run_id, "at": utc_now_iso()}]
+            )
         return release
 
 

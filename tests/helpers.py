@@ -227,3 +227,17 @@ def make_run(
     record.finished_at = max(record.finished_at, record.started_at)
     run_store.record(record)
     return record
+
+
+def tear(path):
+    """Leave a partial last line on a journal, as a writer killed mid-append would."""
+    with open(path, "ab") as fh:
+        fh.write(b'{"kind":"data","ha')
+
+
+def journal_rows(path):
+    """Every line of a journal, each of which must be complete JSON."""
+    raw = path.read_bytes()
+    assert raw.endswith(b"\n")
+    return [json.loads(line) for line in raw.splitlines()]
+

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from ca_engine.cli import main
-from helpers import baseline_tuple
+from ca_engine.cli import COMMANDS, build_parser, leaf_parser, main
+from ca_engine.lineage import LineageLog
+from ca_engine.repo import Repository
+from ca_engine.store import ArtifactStore
+from ca_engine.tuples import RunStore
+from helpers import baseline_tuple, make_run
 
 CYCLIC = {
     "steps": [
@@ -353,3 +358,62 @@ def test_run_diff_unaligned_exits_1(ws, capsys):
     collect(b, store=store, run_store=run_store)
     assert main(["run", "diff", a.run_id, b.run_id, *repo_args]) == 1
     assert "not-aligned" in capsys.readouterr().err
+
+
+def test_garbled_index_line_exits_3_only_for_commands_that_read_the_index(ws, capsys):
+    root, repo_args = ws
+    repo = Repository(root / ".ca")
+    store = ArtifactStore(repo)
+    record = make_run(store, RunStore(repo, store), steps=2)
+    LineageLog(repo).record_edges(record, store=store)
+    output = str(record.step_outcomes[0].output_ids["out"])
+    lines = repo.index_path.read_text().splitlines(keepends=True)
+    middle = len(lines) // 2
+    lines.insert(middle, '{"kind": "data", "hash": \n')
+    repo.index_path.write_text("".join(lines))
+    capsys.readouterr()
+
+    assert main(["artifact", "ls", *repo_args]) == 3
+    err = capsys.readouterr().err
+    assert "integrity-violation" in err and f"index.jsonl: line {middle + 1}:" in err
+    assert main(["run", "ls", *repo_args]) == 0
+    assert main(["run", "show", record.run_id, *repo_args]) == 0
+    assert main(["lineage", "provenance", output, *repo_args]) == 0
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_leaf_parser_help_equals_full_parser_subcommand_help():
+    full = build_parser()
+    for command in COMMANDS:
+        parser = full
+        for word in command.path:
+            parser = _subcommands(parser)[word]
+        assert leaf_parser(command).format_help() == parser.format_help(), command.path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["--version"],
+        ["artifact", "--help"],
+        ["artifact", "put", "--help"],
+        ["bogus"],
+        ["event", "emit", "--source", "data"],
+        ["artifact", "put", "blob", "--kind", "nope"],
+        ["run", "show", "r1", "--bogus"],
+    ],
+)
+def test_main_parses_like_the_full_parser(argv, capsys):
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (exc.value.code, want.out, want.err)
+

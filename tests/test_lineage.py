@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
-from ca_engine.errors import MissingInputError
+from ca_engine.errors import IntegrityViolationError, MissingInputError
 from ca_engine.flow import RecordingExecutor, execute, parse_manifest
-from ca_engine.lineage import LineageEdge, artifact_ref, replay_check, run_ref
-from ca_engine.store import ArtifactKind
-from helpers import baseline_tuple, figure2_manifest, figure2_scripts, make_run
+from ca_engine.lineage import LineageEdge, LineageLog, artifact_ref, replay_check, run_ref
+from ca_engine.store import ArtifactId, ArtifactKind
+from helpers import baseline_tuple, figure2_manifest, figure2_scripts, journal_rows, make_run, tear
 
 
 @pytest.fixture
@@ -228,3 +229,37 @@ def test_replay_uses_recorded_data_scope(store, run_store):
     result = replay_check(record.run_id, graph, executor, store=store, run_store=run_store)
     assert result.identical
     assert run_store.load(result.replay_run_id).data_scope == record.data_scope
+
+
+def test_torn_lineage_tail_is_ignored_then_cut(repo, lineage_log):
+    first = LineageEdge(f"artifact:data:{'a' * 64}", "run:r1", "consumed")
+    second = LineageEdge("run:r1", f"artifact:data:{'b' * 64}", "produced")
+    lineage_log.append_edges([first])
+    tear(repo.lineage_path)
+    fresh = LineageLog(repo)
+    assert fresh.edges() == [first]
+    assert fresh.append_edges([first, second]) == 1
+    assert LineageLog(repo).provenance_of(ArtifactId(ArtifactKind.DATA, "b" * 64)) == {
+        second.dst, "run:r1", first.src
+    }
+    assert len(journal_rows(repo.lineage_path)) == 2
+
+
+def test_record_edges_appends_one_batch_with_one_fsync(store, run_store, lineage_log, monkeypatch):
+    record = make_run(store, run_store, steps=3)
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+    assert lineage_log.record_edges(record, store=store) == 3
+    assert len(fsyncs) == 1
+    fsyncs.clear()
+    assert lineage_log.record_edges(record, store=store) == 0
+    assert fsyncs == []
+
+
+def test_malformed_lineage_line_is_an_integrity_error(repo, lineage_log):
+    with open(repo.lineage_path, "a") as fh:
+        fh.write('{"from": ["not", "hashable"], "role": "consumed", "to": "run:r1"}\n')
+    with pytest.raises(IntegrityViolationError, match=r"lineage\.jsonl: line 1"):
+        lineage_log.edges()
+

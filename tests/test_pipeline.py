@@ -17,10 +17,10 @@ from ca_engine.errors import (
     UnknownBranchError,
 )
 from ca_engine.flow import RecordingExecutor, parse_manifest
-from ca_engine.pipeline import ChangeEvent, make_event, resolve_tuple, subset_select
+from ca_engine.pipeline import ChangeEvent, Pipeline, make_event, resolve_tuple, subset_select
 from ca_engine.tuples import VersionPin, aligned, diff_tuples
 from ca_engine.util import utc_now_iso
-from helpers import e2e_manifest, e2e_scripts, seed_main
+from helpers import e2e_manifest, e2e_scripts, journal_rows, seed_main, tear
 
 
 @pytest.fixture
@@ -321,3 +321,25 @@ def test_event_stream_with_duplicates_plans_once(pipeline, store, e2e):
         plans.add((plan.event_id, plan.tuple.pin("data").version))
     assert len(plans) == 5
     assert len(pipeline.planned_runs()) == 5
+
+
+def test_torn_event_tail_is_ignored_then_cut(pipeline, store, run_store, e2e, repo):
+    first, _ = plan_data_bump(pipeline, store, event_id="evt-1")
+    tear(repo.events_path)
+    fresh = Pipeline(repo, store, run_store)
+    assert fresh.find_plan("evt-1") == first
+    second, _ = plan_data_bump(fresh, store, version="x3", event_id="evt-2")
+    assert Pipeline(repo, store, run_store).planned_runs() == [first, second]
+    assert [row["event_id"] for row in journal_rows(repo.events_path)] == ["evt-1", "evt-2"]
+
+
+def test_torn_promotion_tail_is_ignored_then_cut(pipeline, store, e2e, repo):
+    graph, _, _ = e2e
+    write_gates(repo, [{"metric": "accuracy", "op": ">=", "threshold": 0.9}])
+    record, _ = run_validation(pipeline, store, graph)
+    tear(repo.promotions_path)
+    pipeline.approve(record.run_id, "alice")
+    release = pipeline.run_release(record.run_id, graph, RecordingExecutor(e2e_scripts()))
+    assert release.status == "succeeded"
+    assert [row["type"] for row in journal_rows(repo.promotions_path)] == ["decision", "release"]
+

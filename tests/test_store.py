@@ -10,6 +10,7 @@ import pytest
 from ca_engine.errors import IntegrityViolationError, LockHeldError, NotFoundError, RepoNotInitializedError
 from ca_engine.repo import Repository
 from ca_engine.store import ArtifactId, ArtifactKind, ArtifactStore, sha256_hex
+from helpers import journal_rows, tear
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -185,3 +186,33 @@ def test_index_visible_to_second_store_instance(repo, store):
     fresh = ArtifactStore(repo)
     assert fresh.get(artifact_id) == b"cross-instance"
     assert sha256_hex(b"cross-instance") == artifact_id.hash
+
+
+def test_torn_index_tail_is_ignored_then_cut(repo, store):
+    first = store.put(ArtifactKind.DATA, b"before the crash")
+    tear(repo.index_path)
+    fresh = ArtifactStore(repo)
+    assert [r.id for r in fresh.list()] == [first]
+    second = fresh.put(ArtifactKind.DATA, b"after the crash")
+    assert [r.id for r in ArtifactStore(repo).list()] == [first, second]
+    assert [row["hash"] for row in journal_rows(repo.index_path)] == [first.hash, second.hash]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "{not json",
+        json.dumps({"kind": "bogus", "hash": "a" * 64}),
+        json.dumps({"kind": "data", "hash": "A" * 64}),
+        json.dumps({"hash": "a" * 64}),
+        "[1, 2]",
+    ],
+)
+def test_malformed_index_line_is_an_integrity_error(repo, store, line):
+    store.put(ArtifactKind.DATA, b"one")
+    store.put(ArtifactKind.DATA, b"two")
+    first, second = repo.index_path.read_text().splitlines(keepends=True)
+    repo.index_path.write_text(first + line + "\n" + second)
+    with pytest.raises(IntegrityViolationError, match=r"index\.jsonl: line 2"):
+        ArtifactStore(repo).list()
+
