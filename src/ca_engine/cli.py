@@ -33,43 +33,25 @@ from .tuples import RunStore, VersionPin
 DEFAULT_REPO = ".ca"
 
 
-@dataclass
-class CliConfig:
-    repo_path: Path
-    parallelism: int = 4
-    subset_fraction: float = 0.1
-    subset_seed: int = 0
-    flow_manifest: str | None = None
-
-
-def _resolve_config(args) -> CliConfig:
-    repo_path = Path(args.repo or os.environ.get("CA_REPO") or DEFAULT_REPO)
-    cfg = CliConfig(repo_path)
-    repo = Repository(repo_path)
-    if repo.config_path.exists():
-        stored = repo.config()
-        cfg.parallelism = int(stored.get("parallelism", cfg.parallelism))
-        cfg.subset_fraction = float(stored.get("subset_fraction", cfg.subset_fraction))
-        cfg.subset_seed = int(stored.get("subset_seed", cfg.subset_seed))
-        cfg.flow_manifest = stored.get("flow_manifest")
-    if os.environ.get("CA_PARALLELISM"):
-        cfg.parallelism = int(os.environ["CA_PARALLELISM"])
-    if getattr(args, "parallelism", None):
-        cfg.parallelism = args.parallelism
-    if cfg.parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-    if not (0 < cfg.subset_fraction <= 1):
-        raise ValueError("subset_fraction must be in (0, 1]")
-    return cfg
-
-
 class _Context:
-    """Lazily opened handles over one repository."""
+    """Lazily opened handles over one repository, and its settings."""
 
     def __init__(self, args):
         self.args = args
-        self.config = _resolve_config(args)
-        self.repo = Repository(self.config.repo_path)
+        self.repo = Repository(args.repo or os.environ.get("CA_REPO") or DEFAULT_REPO)
+        config = self.repo.config()
+        if os.environ.get("CA_PARALLELISM"):
+            config["parallelism"] = os.environ["CA_PARALLELISM"]
+        if args.parallelism is not None:
+            config["parallelism"] = args.parallelism
+        self.parallelism = int(config["parallelism"])
+        self.subset_fraction = float(config["subset_fraction"])
+        self.subset_seed = int(config["subset_seed"])
+        self.flow_manifest = config["flow_manifest"]
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        if not (0 < self.subset_fraction <= 1):
+            raise ValueError("subset_fraction must be in (0, 1]")
         self._store = None
         self._runs = None
         self._lineage = None
@@ -101,14 +83,14 @@ class _Context:
                 self.store,
                 self.runs,
                 self.lineage,
-                subset_fraction=self.config.subset_fraction,
-                subset_seed=self.config.subset_seed,
-                parallelism=self.config.parallelism,
+                subset_fraction=self.subset_fraction,
+                subset_seed=self.subset_seed,
+                parallelism=self.parallelism,
             )
         return self._pipeline
 
     def load_graph(self, manifest_arg: str | None):
-        path = manifest_arg or self.config.flow_manifest
+        path = manifest_arg or self.flow_manifest
         if not path:
             raise EngineError("no flow manifest given (pass --flow or set flow_manifest in config.json)")
         graph = parse_manifest(Path(path).read_text(encoding="utf-8"))
@@ -399,8 +381,7 @@ def cmd_replay(args) -> int:
         store=ctx.store,
         run_store=ctx.runs,
         lineage_log=ctx.lineage,
-        metrics_output=graph.metrics_output,
-        parallelism=ctx.config.parallelism,
+        parallelism=ctx.parallelism,
     )
     if result.identical:
         _emit(args, result.to_dict(), f"identical (replayed as {result.replay_run_id})")

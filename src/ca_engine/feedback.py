@@ -43,43 +43,30 @@ _COMPARATORS = {
 }
 
 
-@dataclass(frozen=True)
-class BundleEntry:
-    step: str
-    partition_index: int | None
-    log_id: str
-    command_rendered: str
-    input_parameters: dict[str, str]
-    output_ids: dict[str, str]
-    wall_time_ms: int
-    exit_code: int
-    env_snapshot_id: str
+def _entry_to_dict(outcome: StepOutcome) -> dict:
+    """A step outcome in the bundle's entry layout: nested telemetry, inputs as parameters."""
+    row = outcome.to_dict()
+    row["input_parameters"] = row.pop("input_sources")
+    row["telemetry"] = {"wall_time_ms": row.pop("wall_time_ms"), "exit_code": row.pop("exit_code")}
+    return row
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "partition_index": self.partition_index,
-            "log_id": self.log_id,
-            "command_rendered": self.command_rendered,
-            "input_parameters": dict(sorted(self.input_parameters.items())),
-            "output_ids": dict(sorted(self.output_ids.items())),
-            "telemetry": {"wall_time_ms": self.wall_time_ms, "exit_code": self.exit_code},
-            "env_snapshot_id": self.env_snapshot_id,
-        }
+
+def _entry_from_dict(row: Mapping) -> StepOutcome:
+    return StepOutcome.from_dict({**row, **row["telemetry"], "input_sources": row["input_parameters"]})
 
 
 @dataclass
 class FeedbackBundle:
     run_id: str
     engine_version: str
-    entries: list[BundleEntry]
+    entries: list[StepOutcome]
     metrics: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "run_id": self.run_id,
             "engine_version": self.engine_version,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [_entry_to_dict(e) for e in self.entries],
             "metrics": dict(sorted(self.metrics.items())),
         }
 
@@ -89,21 +76,7 @@ class FeedbackBundle:
 
 def build_bundle(run: RunRecord, outcomes: Sequence[StepOutcome]) -> FeedbackBundle:
     """Assemble a bundle from step outcomes; a pure function of its inputs."""
-    entries = [
-        BundleEntry(
-            step=o.step,
-            partition_index=o.partition_index,
-            log_id=str(o.log_id),
-            command_rendered=o.command_rendered,
-            input_parameters=dict(o.input_sources),
-            output_ids={slot: str(a) for slot, a in o.output_ids.items()},
-            wall_time_ms=o.wall_time_ms,
-            exit_code=o.exit_code,
-            env_snapshot_id=str(o.env_snapshot_id),
-        )
-        for o in outcomes
-    ]
-    return FeedbackBundle(run.run_id, ENGINE_VERSION, entries)
+    return FeedbackBundle(run.run_id, ENGINE_VERSION, list(outcomes))
 
 
 def extract_metrics(bundle: FeedbackBundle, metrics_artifact: ArtifactId, *, store: ArtifactStore) -> dict[str, float]:
@@ -138,20 +111,16 @@ def find_metrics_artifact(run: RunRecord, metrics_output) -> ArtifactId | None:
 
 def collect(
     run: RunRecord,
-    outcomes: Sequence[StepOutcome] | None = None,
     *,
     store: ArtifactStore,
-    run_store: RunStore,
     metrics_artifact: ArtifactId | None = None,
 ) -> tuple[FeedbackBundle, ArtifactId]:
-    """Build, store, and attach the run's feedback bundle.
+    """Build and store the run's feedback bundle and set ``run.feedback_id``.
 
     Content addressing makes this idempotent: collecting the same outcomes
     twice yields the same bundle artifact.
     """
-    if outcomes is None:
-        outcomes = run.step_outcomes
-    bundle = build_bundle(run, outcomes)
+    bundle = build_bundle(run, run.step_outcomes)
     if metrics_artifact is not None:
         extract_metrics(bundle, metrics_artifact, store=store)
     bundle_id = store.put(
@@ -160,7 +129,6 @@ def collect(
         "application/json",
         labels={"run": run.run_id, "role": "feedback"},
     )
-    run_store.attach_feedback(run.run_id, bundle_id)
     run.feedback_id = bundle_id
     return bundle, bundle_id
 
@@ -169,20 +137,7 @@ def load_bundle(run: RunRecord, *, store: ArtifactStore) -> FeedbackBundle:
     if run.feedback_id is None:
         raise MissingFeedbackError(f"run {run.run_id} has no feedback bundle")
     doc = json.loads(store.get(run.feedback_id).decode("utf-8"))
-    entries = [
-        BundleEntry(
-            step=e["step"],
-            partition_index=e["partition_index"],
-            log_id=e["log_id"],
-            command_rendered=e["command_rendered"],
-            input_parameters=dict(e["input_parameters"]),
-            output_ids=dict(e["output_ids"]),
-            wall_time_ms=e["telemetry"]["wall_time_ms"],
-            exit_code=e["telemetry"]["exit_code"],
-            env_snapshot_id=e["env_snapshot_id"],
-        )
-        for e in doc["entries"]
-    ]
+    entries = [_entry_from_dict(e) for e in doc["entries"]]
     return FeedbackBundle(doc["run_id"], doc["engine_version"], entries, dict(doc["metrics"]))
 
 

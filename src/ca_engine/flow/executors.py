@@ -10,6 +10,7 @@ error; on success every declared output must be present.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import threading
 from abc import ABC, abstractmethod
@@ -61,26 +62,34 @@ class ProcessExecutor(StepExecutor):
         child_env = dict(os.environ)
         child_env.update(env)
         try:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 command,
                 shell=True,
                 cwd=workdir,
                 env=child_env,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
-                timeout=self.timeout,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired as exc:
-            raise ExecutorFailureError(f"command timed out after {self.timeout}s: {command}") from exc
         except OSError as exc:
             raise SpawnFailureError(f"cannot spawn {command!r}: {exc}") from exc
+        try:
+            with proc:
+                try:
+                    log, _ = proc.communicate(timeout=self.timeout)
+                except BaseException:
+                    # The step leads its own session, so this ends every process it started.
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    raise
+        except subprocess.TimeoutExpired as exc:
+            raise ExecutorFailureError(f"command timed out after {self.timeout}s: {command}") from exc
         collected: dict[str, bytes] = {}
         if proc.returncode == 0:
             for slot, path in outputs.items():
                 if not path.exists():
                     raise MissingOutputError(f"declared output {slot!r} not produced at {path}")
                 collected[slot] = path.read_bytes()
-        return ExecResult(proc.returncode, collected, proc.stdout or b"", env_snapshot_bytes(env))
+        return ExecResult(proc.returncode, collected, log, env_snapshot_bytes(env))
 
 
 @dataclass(frozen=True)

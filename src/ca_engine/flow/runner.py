@@ -7,7 +7,7 @@ upstream producers succeeded. On the first failure, transitively dependent
 tasks are skipped while independent ones keep running, so a failed run still
 yields maximal feedback. Every executed task stores its log, environment
 snapshot, and outputs as artifacts and contributes a step outcome to the
-persisted run record.
+run record, which is written once, after the run's feedback bundle is stored.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from ..errors import FlowValidationError, UnresolvedInputError
+from ..errors import FlowValidationError, MalformedMetricsError, UnresolvedInputError
+from ..feedback import collect, find_metrics_artifact
 from ..store import ArtifactId, ArtifactKind, ArtifactStore
 from ..tuples import ArtifactVersionTuple, RunRecord, RunStore, StepOutcome
 from ..util import canonical_json, utc_now_iso
@@ -39,6 +40,9 @@ from .graph import (
     topo_order,
     validate,
 )
+
+if TYPE_CHECKING:
+    from ..lineage import LineageLog
 
 
 @dataclass(frozen=True)
@@ -255,14 +259,23 @@ def execute(
     kind: str,
     store: ArtifactStore,
     run_store: RunStore,
+    lineage: LineageLog | None = None,
     data_scope: DataScope = FULL_SCOPE,
     branch: str = "main",
     labels: Mapping[str, str] | None = None,
     parallelism: int = 4,
-    workdir_root: Path | None = None,
-    keep_workdir: bool = False,
 ) -> RunRecord:
-    """Execute a validated flow against a version tuple and persist the run."""
+    """Execute a validated flow against a version tuple and finish the run.
+
+    Finishing stores the feedback bundle, with the metrics parsed from
+    ``graph.metrics_output``, writes the run record once with its feedback
+    reference, and then appends the run's lineage edges to ``lineage`` when
+    one is given. The record goes first because the repository lock is not
+    re-entrant, so the two writes cannot share a critical section: a crash
+    between them leaves a run without edges, never an edge to a missing run.
+    A malformed metrics artifact still records the run, without feedback,
+    and its lineage before :class:`MalformedMetricsError` is raised.
+    """
     if kind not in ("validation", "release"):
         raise ValueError(f"bad run kind: {kind!r}")
     violations = validate(graph)
@@ -291,12 +304,8 @@ def execute(
     run_id = run_store.mint_run_id(avt)
     started_at = utc_now_iso()
 
-    if workdir_root is None:
-        workdir_root = run_store.repo.tmp_dir / run_id
-    else:
-        workdir_root = Path(workdir_root) / run_id
     # Commands run with cwd=workdir, so rendered paths must be absolute.
-    workdir_root = workdir_root.resolve()
+    workdir_root = (run_store.repo.tmp_dir / run_id).resolve()
     workdir_root.mkdir(parents=True, exist_ok=True)
 
     env = {name: os.environ[name] for name in graph.env_whitelist if name in os.environ}
@@ -349,6 +358,7 @@ def execute(
                 break
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        shutil.rmtree(workdir_root, ignore_errors=True)
     if failure is not None:
         raise failure
 
@@ -384,7 +394,14 @@ def execute(
             "manifest": manifest_id.hash if manifest_id is not None else None,
         },
     )
+    metrics_error = None
+    try:
+        collect(record, store=store, metrics_artifact=find_metrics_artifact(record, graph.metrics_output))
+    except MalformedMetricsError as exc:
+        metrics_error = exc
     run_store.record(record)
-    if not keep_workdir:
-        shutil.rmtree(workdir_root, ignore_errors=True)
+    if lineage is not None:
+        lineage.record_edges(record, store=store)
+    if metrics_error is not None:
+        raise metrics_error
     return record

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import MissingInputError, RunNotFoundError
-from .feedback import collect, find_metrics_artifact
-from .flow.graph import FlowGraph
+from .flow.graph import ArtifactInput, FlowGraph
 from .flow.runner import DataScope, execute
 from .journal import Journal
 from .repo import Repository
 from .store import ArtifactId, ArtifactStore
-from .tuples import RunRecord, RunStore, StepOutcome
+from .tuples import RunRecord, RunStore
 
 ROLE_CONSUMED = "consumed"
 ROLE_PRODUCED = "produced"
@@ -71,20 +70,12 @@ class LineageLog:
 
     # -- recording -----------------------------------------------------------
 
-    def record_edges(
-        self,
-        run: RunRecord,
-        outcomes: Sequence[StepOutcome] | None = None,
-        *,
-        store: ArtifactStore,
-    ) -> int:
+    def record_edges(self, run: RunRecord, *, store: ArtifactStore) -> int:
         """Append the run's consumed/pinned/produced edges; idempotent per run."""
-        if outcomes is None:
-            outcomes = run.step_outcomes
         node = run_ref(run.run_id)
         desired: list[LineageEdge] = []
         add = desired.append  # append_edges drops repeats
-        for outcome in outcomes:
+        for outcome in run.step_outcomes:
             for source in outcome.input_sources.values():
                 if source.startswith("artifact:"):
                     add(LineageEdge(source, node, ROLE_CONSUMED))
@@ -94,7 +85,7 @@ class LineageLog:
             records = store.find_by_hash(pin.content)
             if records:
                 add(LineageEdge(artifact_ref(records[0].id), node, ROLE_PINNED))
-        for outcome in outcomes:
+        for outcome in run.step_outcomes:
             for artifact_id in outcome.output_ids.values():
                 add(LineageEdge(node, artifact_ref(artifact_id), ROLE_PRODUCED))
         for artifact_id in run.result_ids:
@@ -192,7 +183,6 @@ def replay_check(
     store: ArtifactStore,
     run_store: RunStore,
     lineage_log: LineageLog | None = None,
-    metrics_output=None,
     parallelism: int = 4,
 ) -> ReplayResult:
     """Re-execute a recorded run and compare every output hash slot by slot.
@@ -212,7 +202,7 @@ def replay_check(
             raise MissingInputError(f"pinned input {pin.component} ({pin.content}) fails verification")
     for step in graph.steps:
         for ref in step.inputs.values():
-            if hasattr(ref, "id"):
+            if isinstance(ref, ArtifactInput):
                 if not store.has(ref.id) or not store.verify(ref.id):
                     raise MissingInputError(f"input artifact {ref.id} is missing or corrupt")
 
@@ -229,15 +219,12 @@ def replay_check(
         kind="validation",
         store=store,
         run_store=run_store,
+        lineage=lineage_log,
         data_scope=scope,
         branch=original.branch,
         labels={"replay-of": run_id},
         parallelism=parallelism,
     )
-    metrics_artifact = find_metrics_artifact(replay, metrics_output)
-    collect(replay, store=store, run_store=run_store, metrics_artifact=metrics_artifact)
-    if lineage_log is not None:
-        lineage_log.record_edges(replay, store=store)
 
     old_outputs = _output_map(original)
     new_outputs = _output_map(replay)

@@ -31,13 +31,7 @@ from .errors import (
     RunNotSucceededError,
     UnknownBranchError,
 )
-from .feedback import (
-    collect,
-    evaluate_gate,
-    find_metrics_artifact,
-    load_bundle,
-    load_gate_policy,
-)
+from .feedback import evaluate_gate, load_bundle, load_gate_policy
 from .flow.graph import FlowGraph
 from .flow.runner import DataScope, execute
 from .journal import Journal
@@ -307,22 +301,19 @@ class Pipeline:
         return None
 
     def _run(self, plan_tuple, graph, executor, *, kind, scope, branch, labels) -> RunRecord:
-        record = execute(
+        return execute(
             graph,
             plan_tuple,
             executor,
             kind=kind,
             store=self.store,
             run_store=self.run_store,
+            lineage=self.lineage,
             data_scope=scope,
             branch=branch,
             labels=labels,
             parallelism=self.parallelism,
         )
-        metrics_artifact = find_metrics_artifact(record, graph.metrics_output)
-        collect(record, store=self.store, run_store=self.run_store, metrics_artifact=metrics_artifact)
-        self.lineage.record_edges(record, store=self.store)
-        return record
 
     def run_direct(self, graph: FlowGraph, executor, *, branch: str = MAIN_BRANCH) -> RunRecord:
         """Execute a flow against a branch's current pins, outside any event plan.

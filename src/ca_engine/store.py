@@ -22,7 +22,7 @@ from .repo import Repository
 from .util import append_line  # noqa: F401  (the benchmark's tracer patches this binding)
 from .util import atomic_write_bytes, utc_now_iso
 
-HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
+HEX64_RE = re.compile(r"[0-9a-f]{64}")
 
 
 def sha256_hex(data: bytes) -> str:
@@ -31,7 +31,7 @@ def sha256_hex(data: bytes) -> str:
 
 
 def is_content_hash(value: str) -> bool:
-    return bool(HEX64_RE.match(value))
+    return bool(HEX64_RE.fullmatch(value))
 
 
 class ArtifactKind(str, Enum):

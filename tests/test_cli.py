@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ca_engine.cli import COMMANDS, build_parser, leaf_parser, main
+from ca_engine.cli import COMMANDS, _Context, build_parser, leaf_parser, main, parse_args
 from ca_engine.lineage import LineageLog
 from ca_engine.repo import Repository
 from ca_engine.store import ArtifactStore
@@ -328,7 +328,8 @@ def test_gate_eval_failure_exits_1(ws, capsys):
     store = ArtifactStore(repo)
     run_store = RunStore(repo, store)
     record = make_run(store, run_store)
-    collect(record, store=store, run_store=run_store)  # no metrics -> constraint unmet
+    _, bundle_id = collect(record, store=store)  # no metrics -> constraint unmet
+    run_store.attach_feedback(record.run_id, bundle_id)
     assert main(["gate", "eval", record.run_id, "--json", *repo_args]) == 1
     assert read_json(capsys)["pass"] is False
 
@@ -339,6 +340,34 @@ def test_repo_resolution_via_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CA_REPO", str(repo))
     assert main(["artifact", "ls", "--json"]) == 0
     capsys.readouterr()
+
+
+def test_parallelism_precedence_flag_env_config_default(ws, monkeypatch):
+    root, repo_args = ws
+    monkeypatch.delenv("CA_PARALLELISM", raising=False)
+
+    def parallelism(*flags):
+        return _Context(parse_args(["run", "ls", *repo_args, *flags])).pipeline.parallelism
+
+    (root / ".ca" / "config.json").unlink()
+    assert parallelism() == 4
+    (root / ".ca" / "config.json").write_text(json.dumps({"parallelism": 3}))
+    assert parallelism() == 3
+    monkeypatch.setenv("CA_PARALLELISM", "2")
+    assert parallelism() == 2
+    assert parallelism("--parallelism", "7") == 7
+
+
+def test_parallelism_zero_is_a_usage_error(ws, capsys):
+    _, repo_args = ws
+    assert main(["run", "ls", "--parallelism", "0", *repo_args]) == 2
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+
+
+def test_artifact_id_with_trailing_newline_is_a_usage_error(ws, capsys):
+    _, repo_args = ws
+    assert main(["artifact", "get", "data:" + "a" * 64 + "\n", *repo_args]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_run_diff_unaligned_exits_1(ws, capsys):
@@ -354,8 +383,8 @@ def test_run_diff_unaligned_exits_1(ws, capsys):
     run_store = RunStore(repo, store)
     a = make_run(store, run_store)
     b = make_run(store, run_store, avt=baseline_tuple(extra=[VersionPin("gpu", "g1")]))
-    collect(a, store=store, run_store=run_store)
-    collect(b, store=store, run_store=run_store)
+    for run in (a, b):
+        run_store.attach_feedback(run.run_id, collect(run, store=store)[1])
     assert main(["run", "diff", a.run_id, b.run_id, *repo_args]) == 1
     assert "not-aligned" in capsys.readouterr().err
 

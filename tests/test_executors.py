@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from ca_engine.errors import ExecutorFailureError, MissingOutputError, SpawnFailureError
@@ -87,6 +89,19 @@ def test_process_executor_spawn_failure(tmp_path):
     executor = ProcessExecutor()
     with pytest.raises(SpawnFailureError):
         executor.run("true", inputs={}, outputs={}, env={}, workdir=tmp_path / "does-not-exist")
+
+
+def test_process_executor_timeout_kills_the_whole_process_tree(tmp_path):
+    workdir = tmp_path / "slow"
+    workdir.mkdir()
+    started = time.monotonic()
+    with pytest.raises(ExecutorFailureError, match="timed out"):
+        ProcessExecutor(timeout=0.3).run(
+            "(sleep 1; touch late); true", inputs={}, outputs={}, env={}, workdir=workdir
+        )
+    assert time.monotonic() - started < 1
+    time.sleep(1.5)
+    assert not (workdir / "late").exists()
 
 
 def test_process_executor_rejects_empty_command(tmp_path):

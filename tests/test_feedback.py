@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import pytest
 
+from ca_engine import __version__
 from ca_engine.errors import (
     GatePolicyError,
     MalformedMetricsError,
@@ -22,7 +24,8 @@ from ca_engine.feedback import (
     load_bundle,
     load_gate_policy,
 )
-from ca_engine.store import ArtifactKind
+from ca_engine.store import ArtifactId, ArtifactKind
+from ca_engine.tuples import RunRecord, StepOutcome
 from helpers import baseline_tuple, make_run
 
 
@@ -32,7 +35,9 @@ def put_metrics(store, doc) -> object:
 
 def test_collect_one_entry_per_outcome(store, run_store):
     record = make_run(store, run_store, steps=2)
-    bundle, bundle_id = collect(record, store=store, run_store=run_store)
+    bundle, bundle_id = collect(record, store=store)
+    assert record.feedback_id == bundle_id
+    run_store.attach_feedback(record.run_id, bundle_id)
     assert len(bundle.entries) == 2
     assert store.verify(bundle_id)
     assert run_store.load(record.run_id).feedback_id == bundle_id
@@ -40,7 +45,7 @@ def test_collect_one_entry_per_outcome(store, run_store):
 
 def test_collect_includes_failed_steps(store, run_store):
     record = make_run(store, run_store, steps=3, failed_steps=("s1",))
-    bundle, _ = collect(record, store=store, run_store=run_store)
+    bundle, _ = collect(record, store=store)
     assert len(bundle.entries) == 3
     failed = [e for e in bundle.entries if e.exit_code != 0]
     assert len(failed) == 1 and failed[0].step == "s1"
@@ -49,8 +54,8 @@ def test_collect_includes_failed_steps(store, run_store):
 
 def test_bundle_hash_stable_across_collects(store, run_store):
     record = make_run(store, run_store)
-    _, first = collect(record, store=store, run_store=run_store)
-    _, second = collect(record, store=store, run_store=run_store)
+    _, first = collect(record, store=store)
+    _, second = collect(record, store=store)
     assert first == second
 
 
@@ -59,6 +64,46 @@ def test_bundle_is_pure_function_of_outcomes(store, run_store):
     assert build_bundle(record, record.step_outcomes).to_bytes() == build_bundle(
         record, record.step_outcomes
     ).to_bytes()
+
+
+def test_bundle_layout_is_pinned():
+    """Bundles are content-addressed: a change to this layout changes every bundle id.
+
+    The digest also covers ``engine_version``, so a version bump updates it too.
+    """
+    outcome = StepOutcome(
+        step="score",
+        partition_index=2,
+        exit_code=0,
+        output_ids={"chunk": ArtifactId(ArtifactKind.DATA, "3" * 64)},
+        log_id=ArtifactId(ArtifactKind.RESULT, "1" * 64),
+        command_rendered="score in out 2",
+        wall_time_ms=17,
+        env_snapshot_id=ArtifactId(ArtifactKind.RESULT, "2" * 64),
+        input_sources={"src": "artifact:data:" + "4" * 64, "cfg": "pin:code"},
+    )
+    at = "2024-01-01T00:00:00.000000Z"
+    run = RunRecord("0123456789ab-000001", baseline_tuple(), "validation", "main", at, at, "succeeded", [outcome])
+    bundle = build_bundle(run, run.step_outcomes)
+    bundle.metrics["acc"] = 0.5
+    assert bundle.to_dict() == {
+        "run_id": "0123456789ab-000001",
+        "engine_version": __version__,
+        "entries": [
+            {
+                "step": "score",
+                "partition_index": 2,
+                "log_id": "result:" + "1" * 64,
+                "command_rendered": "score in out 2",
+                "input_parameters": {"cfg": "pin:code", "src": "artifact:data:" + "4" * 64},
+                "output_ids": {"chunk": "data:" + "3" * 64},
+                "telemetry": {"wall_time_ms": 17, "exit_code": 0},
+                "env_snapshot_id": "result:" + "2" * 64,
+            }
+        ],
+        "metrics": {"acc": 0.5},
+    }
+    assert hashlib.sha256(bundle.to_bytes()).hexdigest() == "47ec88659c15e8ba4e34f042a6d3f697da0c593b02b1d27e229b0c6dd8d899bb"
 
 
 def test_extract_metrics_parses_flat_document(store, run_store):
@@ -167,7 +212,9 @@ def test_load_gate_policy_file(tmp_path):
 
 def attach_metrics(store, run_store, record, doc):
     artifact = put_metrics(store, doc)
-    return collect(record, store=store, run_store=run_store, metrics_artifact=artifact)
+    bundle, bundle_id = collect(record, store=store, metrics_artifact=artifact)
+    run_store.attach_feedback(record.run_id, bundle_id)
+    return bundle, bundle_id
 
 
 def test_compare_identical_run_with_itself(store, run_store):

@@ -12,11 +12,13 @@ from ca_engine.errors import (
     GateFailedError,
     IncompletePinsError,
     MalformedEventError,
+    MalformedMetricsError,
     NotApprovedError,
+    StorageError,
     RunNotSucceededError,
     UnknownBranchError,
 )
-from ca_engine.flow import RecordingExecutor, parse_manifest
+from ca_engine.flow import RecordingExecutor, parse_manifest, scripted
 from ca_engine.pipeline import ChangeEvent, Pipeline, make_event, resolve_tuple, subset_select
 from ca_engine.tuples import VersionPin, aligned, diff_tuples
 from ca_engine.util import utc_now_iso
@@ -186,6 +188,30 @@ def test_run_validation_subsets_data_and_labels_run(pipeline, store, e2e):
     manifest_ids = json.loads(store.get_by_hash(record.data_scope["manifest"]).decode())
     assert 0 < len(manifest_ids) < 900
     assert record.feedback_id is not None
+
+
+def test_malformed_metrics_keep_the_run_and_its_lineage(pipeline, run_store, lineage_log, e2e):
+    graph, _, _ = e2e
+    scripts = e2e_scripts()
+    scripts["evaluate"] = scripted({"metrics": "not json"})
+    with pytest.raises(MalformedMetricsError):
+        pipeline.run_direct(graph, RecordingExecutor(scripts))
+    (record,) = run_store.list()
+    assert record.feedback_id is None
+    model = record.step_outcomes[0].output_ids["model"]
+    assert f"run:{record.run_id}" in lineage_log.provenance_of(model)
+
+
+def test_failed_record_write_appends_no_lineage(pipeline, run_store, lineage_log, e2e, monkeypatch):
+    graph, _, _ = e2e
+
+    def disk_full(record):
+        raise StorageError("cannot write run record")
+
+    monkeypatch.setattr(run_store, "record", disk_full)
+    with pytest.raises(StorageError):
+        pipeline.run_direct(graph, RecordingExecutor(e2e_scripts()))
+    assert lineage_log.edges() == []
 
 
 def test_validation_and_release_tuples_align(pipeline, store, e2e, repo):

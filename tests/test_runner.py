@@ -273,6 +273,15 @@ def test_executor_infrastructure_failure_aborts(figure2, store, run_store):
         run_figure2(graph, store, run_store, scripts=scripts)
 
 
+def test_executor_error_leaves_no_workdir(figure2, repo, store, run_store):
+    graph, _, _ = figure2
+    scripts = figure2_scripts()
+    scripts["step1"] = scripted({})
+    with pytest.raises(MissingOutputError):
+        run_figure2(graph, store, run_store, scripts=scripts)
+    assert list(repo.tmp_dir.iterdir()) == []
+
+
 def test_execute_rejects_invalid_graph(store, run_store):
     manifest = {
         "steps": [

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ca_engine.errors import DanglingReferenceError, InvalidTupleError, RunConflictError
-from ca_engine.store import ArtifactKind
+from ca_engine.store import ArtifactId, ArtifactKind
 from ca_engine.tuples import (
     ArtifactVersionTuple,
+    RunRecord,
     RunStore,
     VersionPin,
     aligned,
@@ -97,6 +98,26 @@ def test_bad_pin_fields_rejected():
         VersionPin("code", "v1\nv2")
     with pytest.raises(InvalidTupleError):
         VersionPin("code", "v1", content="zz")
+
+
+AT = "2024-01-01T00:00:00.000000Z"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda suffix: ArtifactId.parse("data:" + "a" * 64 + suffix),
+        lambda suffix: VersionPin("code" + suffix, "v1"),
+        lambda suffix: RunRecord(
+            "0123456789ab-000001" + suffix, baseline_tuple(), "validation", "main", AT, AT, "succeeded"
+        ).validate(),
+    ],
+    ids=["artifact-id", "component", "run-id"],
+)
+def test_ids_and_names_reject_a_trailing_newline(make):
+    make("")
+    with pytest.raises((ValueError, InvalidTupleError)):
+        make("\n")
 
 
 def test_hash_is_deterministic():
