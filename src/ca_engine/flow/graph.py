@@ -27,7 +27,7 @@ from typing import Mapping, Union
 from ..errors import FlowCycleError, ManifestParseError, ManifestSchemaError
 from ..store import ArtifactId
 
-NAME_RE = re.compile(r"^[a-z0-9_-]+$")
+NAME_RE = re.compile(r"[a-z0-9_-]+")
 DATA_MANIFEST_SLOT = "__data_manifest"
 
 TOKEN_RE = re.compile(r"\{(input|output|partitions):([A-Za-z0-9_.|-]+)\}|\{partition\}")
@@ -174,7 +174,7 @@ def _parse_input_ref(slot: str, spec: object, context: str) -> InputRef:
             raise ManifestSchemaError(f"{context}: {exc}") from None
     if keys == {"pin"}:
         component = spec["pin"]
-        if not isinstance(component, str) or not NAME_RE.match(component):
+        if not isinstance(component, str) or not NAME_RE.fullmatch(component):
             raise ManifestSchemaError(f"{context}: bad pin component {component!r}")
         return PinInput(component)
     if keys == {"step", "slot"}:
@@ -225,7 +225,7 @@ def _check_command(step: StepSpec) -> None:
     if len(merge_outputs) != 1 or len(set(merge_outputs)) != 1:
         raise ManifestSchemaError(f"{merge_ctx}: must declare exactly one output slot")
     merge_slot = merge_outputs[0]
-    if not NAME_RE.match(merge_slot):
+    if not NAME_RE.fullmatch(merge_slot):
         raise ManifestSchemaError(f"{merge_ctx}: bad output slot name {merge_slot!r}")
     if merge_slot in step.outputs:
         raise ManifestSchemaError(f"{merge_ctx}: output slot {merge_slot!r} collides with step outputs")
@@ -237,7 +237,7 @@ def _parse_step(spec: object, index: int) -> StepSpec:
         raise ManifestSchemaError(f"{context} must be an object")
     _require_keys(spec, {"name", "command", "inputs", "outputs", "partition"}, {"name", "command"}, context)
     name = spec["name"]
-    if not isinstance(name, str) or not NAME_RE.match(name):
+    if not isinstance(name, str) or not NAME_RE.fullmatch(name):
         raise ManifestSchemaError(f"{context}: bad step name {name!r}")
     command = spec["command"]
     if not isinstance(command, str) or not command.strip():
@@ -252,7 +252,7 @@ def _parse_step(spec: object, index: int) -> StepSpec:
             raise ManifestSchemaError(
                 f"step {name!r}: {DATA_MANIFEST_SLOT!r} is reserved for the injected data manifest"
             )
-        if not NAME_RE.match(slot):
+        if not NAME_RE.fullmatch(slot):
             raise ManifestSchemaError(f"step {name!r}: bad input slot name {slot!r}")
         inputs[slot] = _parse_input_ref(slot, ref, f"step {name!r}")
 
@@ -260,7 +260,7 @@ def _parse_step(spec: object, index: int) -> StepSpec:
     if not isinstance(raw_outputs, list) or any(not isinstance(o, str) for o in raw_outputs):
         raise ManifestSchemaError(f"step {name!r}: outputs must be an array of slot names")
     for slot in raw_outputs:
-        if not NAME_RE.match(slot):
+        if not NAME_RE.fullmatch(slot):
             raise ManifestSchemaError(f"step {name!r}: bad output slot name {slot!r}")
     if len(set(raw_outputs)) != len(raw_outputs):
         raise ManifestSchemaError(f"step {name!r}: duplicate output slots")

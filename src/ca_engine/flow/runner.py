@@ -124,6 +124,9 @@ class _RunContext:
         self.outcomes: list[StepOutcome] = []
         self.outcome_slots = {(o.step, o.slot) for o in graph.outcomes}
         self.external: dict[InputRef, ArtifactId] = {}
+        # Per run, never per store: the next run must verify again.
+        self.verify_locks: dict[ArtifactId, threading.Lock] = {}
+        self.verified: set[ArtifactId] = set()
 
 
 def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: ArtifactStore) -> dict[InputRef, ArtifactId]:
@@ -144,6 +147,23 @@ def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: Artif
                 raise UnresolvedInputError(f"pin {ref.component!r} content {pin.content} not in store")
             resolved[ref] = records[0].id
     return resolved
+
+
+def _materialize(ctx: _RunContext, artifact_id: ArtifactId, path: Path) -> None:
+    """Give a task its own copy of an artifact, hash-verified once per run.
+
+    The first task that needs an id verifies it under that id's lock; later
+    ones wait for that check instead of hashing again, and no task gets a
+    copy of an id that has not passed it. Each copy is a file of its own, so
+    a step that writes to its inputs reaches neither the store nor a sibling.
+    """
+    with ctx.lock:
+        id_lock = ctx.verify_locks.setdefault(artifact_id, threading.Lock())
+    with id_lock:
+        if artifact_id not in ctx.verified:
+            ctx.store.check(artifact_id)
+            ctx.verified.add(artifact_id)
+    ctx.store.copy_to(artifact_id, path)
 
 
 def _run_task(ctx: _RunContext, task: _Task) -> bool:
@@ -169,7 +189,7 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
                 path = inputs_dir / key
                 with ctx.lock:
                     artifact_id = ctx.partition_outputs[(step.name, i, slot)]
-                path.write_bytes(ctx.store.get(artifact_id))
+                _materialize(ctx, artifact_id, path)
                 input_paths[key] = path
                 input_sources[key] = f"step:{step.name}:{slot}[{i}]"
                 paths.append(str(path))
@@ -187,13 +207,13 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
             else:
                 artifact_id = ctx.external[ref]
                 source = ref.describe()
-            path.write_bytes(ctx.store.get(artifact_id))
+            _materialize(ctx, artifact_id, path)
             input_paths[slot] = path
             input_sources[slot] = source
             substitution[f"{{input:{slot}}}"] = str(path)
         if ctx.manifest_id is not None:
             path = inputs_dir / "data_manifest.json"
-            path.write_bytes(ctx.store.get(ctx.manifest_id))
+            _materialize(ctx, ctx.manifest_id, path)
             input_paths[DATA_MANIFEST_SLOT] = path
             input_sources[DATA_MANIFEST_SLOT] = f"artifact:{ctx.manifest_id}"
             substitution[f"{{input:{DATA_MANIFEST_SLOT}}}"] = str(path)

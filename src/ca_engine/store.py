@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import re
+import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -23,6 +25,7 @@ from .util import append_line  # noqa: F401  (the benchmark's tracer patches thi
 from .util import atomic_write_bytes, utc_now_iso
 
 HEX64_RE = re.compile(r"[0-9a-f]{64}")
+_CHUNK = 1 << 20
 
 
 def sha256_hex(data: bytes) -> str:
@@ -169,24 +172,50 @@ class ArtifactStore:
             raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
         return data
 
-    def _read_object(self, digest: str) -> bytes:
-        obj = self.object_path(digest)
+    def check(self, artifact_id: ArtifactId) -> None:
+        """Raise as :meth:`get` would, without holding the blob in memory."""
+        self._lookup(artifact_id)
+        if self._object_digest(artifact_id.hash) != artifact_id.hash:
+            raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
+
+    def copy_to(self, artifact_id: ArtifactId, dest: Path) -> None:
+        """Copy the stored bytes to a new file ``dest``, inside the kernel.
+
+        The bytes are not hashed: callers :meth:`check` the id first. ``dest``
+        is a file of its own, so writing to it never reaches the store.
+        """
+        with self._object_errors(artifact_id.hash):
+            shutil.copyfile(self.object_path(artifact_id.hash), dest)
+
+    @contextmanager
+    def _object_errors(self, digest: str):
+        """Map I/O errors on an object file: missing is an integrity fault."""
         try:
-            return obj.read_bytes()
+            yield
         except FileNotFoundError:
             raise IntegrityViolationError(f"object file for {digest} is missing") from None
         except OSError as exc:
-            raise StorageError(f"cannot read object {digest}: {exc}") from exc
+            raise StorageError(f"I/O error on object {digest}: {exc}") from exc
+
+    def _read_object(self, digest: str) -> bytes:
+        with self._object_errors(digest):
+            return self.object_path(digest).read_bytes()
+
+    def _object_digest(self, digest: str) -> str:
+        """SHA-256 of an object file, read in fixed-size chunks."""
+        hasher = hashlib.sha256()
+        with self._object_errors(digest), open(self.object_path(digest), "rb") as fh:
+            while chunk := fh.read(_CHUNK):
+                hasher.update(chunk)
+        return hasher.hexdigest()
 
     def verify(self, artifact_id: ArtifactId) -> bool:
         """True iff the stored bytes still hash to the id. Never mutates state."""
         self._lookup(artifact_id)
-        obj = self.object_path(artifact_id.hash)
         try:
-            data = obj.read_bytes()
-        except OSError:
+            return self._object_digest(artifact_id.hash) == artifact_id.hash
+        except StorageError:
             return False
-        return sha256_hex(data) == artifact_id.hash
 
     def has(self, artifact_id: ArtifactId) -> bool:
         try:

@@ -88,6 +88,34 @@ def test_missing_name_is_schema_error():
         parse(doc)
 
 
+def _rename_step(doc, name):
+    doc["steps"][0]["name"] = name
+    doc["outcomes"][0]["step"] = name
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: _rename_step(doc, "only\n"), id="step-name"),
+        pytest.param(lambda doc: doc["steps"][0]["inputs"].update({"src\n": SRC}), id="input-slot"),
+        pytest.param(lambda doc: doc["steps"][0]["outputs"].append("extra\n"), id="output-slot"),
+        pytest.param(
+            lambda doc: doc["steps"][0].update(
+                command="make {output:out} {partition}",
+                partition={"count": 2, "merge_command": "cat {partitions:out} {output:merged\n}"},
+            ),
+            id="merge-slot",
+        ),
+        pytest.param(lambda doc: doc["steps"][0]["inputs"].update({"src": {"pin": "data\n"}}), id="pin-component"),
+    ],
+)
+def test_names_reject_a_trailing_newline(edit):
+    doc = minimal_manifest()
+    edit(doc)
+    with pytest.raises(ManifestSchemaError):
+        parse(doc)
+
+
 def test_reserved_slot_cannot_be_declared():
     doc = minimal_manifest()
     doc["steps"][0]["inputs"] = {"__data_manifest": SRC}

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
 
+import ca_engine.store as store_mod
+from ca_engine.cli import main
 from ca_engine.errors import (
     FlowValidationError,
+    IntegrityViolationError,
     MissingOutputError,
+    StorageError,
     UnresolvedInputError,
 )
 from ca_engine.flow import DataScope, RecordingExecutor, execute, parse_manifest, scripted
@@ -323,3 +330,133 @@ def test_random_dag_scheduling_soundness(store, run_store):
         spans = {inv.key: (inv.start_seq, inv.end_seq) for inv in executor.invocations}
         for src, dst in edges:
             assert spans[src][1] < spans[dst][0]
+
+
+def fan_manifest(src_ref, count):
+    """One partitioned step whose every partition reads the same input."""
+    return {
+        "steps": [
+            {
+                "name": "fan",
+                "command": "use {input:src} {output:part} {partition}",
+                "inputs": {"src": src_ref},
+                "outputs": ["part"],
+                "partition": {"count": count, "merge_command": "cat {partitions:part} {output:merged}"},
+            }
+        ],
+        "outcomes": [{"step": "fan", "slot": "merged"}],
+    }
+
+
+def fan_line(index, data):
+    return b"%d %s\n" % (index, hashlib.sha256(data).hexdigest().encode())
+
+
+def fan_executor(clobber=None):
+    """Partitions output ``fan_line`` of the input they read; ``clobber`` then overwrites its own."""
+
+    def partition(*, command, inputs, outputs, env, workdir):
+        index = int(command.split()[-1])
+        line = fan_line(index, inputs["src"].read_bytes())
+        if index == clobber:
+            inputs["src"].write_bytes(b"clobbered")
+        return ScriptedResult({"part": line}, 0, b"")
+
+    def merge(*, command, inputs, outputs, env, workdir):
+        return ScriptedResult({"merged": b"".join(inputs[key].read_bytes() for key in sorted(inputs))}, 0, b"")
+
+    return RecordingExecutor({"fan.merge": merge}, default=partition)
+
+
+def counting_sha256(tally):
+    """A ``hashlib.sha256`` stand-in that adds the bytes hashed into each digest to ``tally``."""
+
+    class Counting:
+        def __init__(self, data=b""):
+            self._hasher = hashlib.sha256(data)
+            self._size = len(data)
+
+        def update(self, data):
+            self._hasher.update(data)
+            self._size += len(data)
+
+        def hexdigest(self):
+            digest = self._hasher.hexdigest()
+            tally[digest] = tally.get(digest, 0) + self._size
+            return digest
+
+    return Counting
+
+
+def test_shared_input_is_hashed_once_per_run(store, run_store, monkeypatch):
+    data = random.Random(5).randbytes(3 * 2**20 + 7)
+    blob = store.put(ArtifactKind.DATA, data)
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 8)))
+    tally = {}
+    monkeypatch.setattr(store_mod, "hashlib", SimpleNamespace(sha256=counting_sha256(tally)))
+    # One worker per partition, so all eight ask for the input at once, and
+    # frequent thread switches to expose a check-then-act race.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        record = execute(
+            graph, baseline_tuple(data_content=blob.hash), fan_executor(),
+            kind="validation", store=store, run_store=run_store, parallelism=8,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert record.status == "succeeded"
+    assert tally[blob.hash] == len(data)
+
+
+@pytest.mark.parametrize(
+    "damage, error",
+    [
+        ("flip", IntegrityViolationError),
+        ("delete", IntegrityViolationError),
+        ("unreadable", StorageError),
+    ],
+)
+def test_corrupt_or_missing_input_is_caught(damage, error, tmp_path, repo, store, run_store, pipeline):
+    blob = store.put(ArtifactKind.DATA, b"pinned input\n" * 100)
+    # An artifact input, not a pin: ``ca flow run`` reads a data pin's content
+    # before executing, and this must reach the copy into each task.
+    doc = fan_manifest({"artifact": str(blob)}, 4)
+    graph = parse_manifest(json.dumps(doc))
+    # A clean run first, so verification cached beyond its run would show.
+    assert execute(graph, baseline_tuple(), fan_executor(), kind="validation", store=store, run_store=run_store).status == "succeeded"
+
+    obj = store.object_path(blob.hash)
+    if damage == "flip":
+        raw = bytearray(obj.read_bytes())
+        raw[5] ^= 0x01
+        obj.write_bytes(bytes(raw))
+    else:
+        obj.unlink()
+        if damage == "unreadable":
+            obj.mkdir()
+    executor = fan_executor()
+    with pytest.raises(error):
+        execute(graph, baseline_tuple(), executor, kind="validation", store=store, run_store=run_store)
+    assert executor.invocations == []
+    assert list(repo.tmp_dir.iterdir()) == []
+
+    pipeline.set_branch_pins("main", baseline_tuple().pins)
+    manifest = tmp_path / "flow.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["flow", "run", str(manifest), "--repo", str(repo.root)]) == 3
+
+
+def test_tasks_are_isolated_from_each_other_and_the_store(store, run_store):
+    data = b"shared input\n" * 1000
+    blob = store.put(ArtifactKind.DATA, data)
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 4)))
+    # One worker runs the partitions in index order, so partition 0 clobbers
+    # its input before any sibling reads.
+    record = execute(
+        graph, baseline_tuple(data_content=blob.hash), fan_executor(clobber=0),
+        kind="validation", store=store, run_store=run_store, parallelism=1,
+    )
+    assert record.status == "succeeded"
+    assert store.verify(blob)
+    assert store.get(record.result_ids[0]) == b"".join(fan_line(i, data) for i in range(4))
