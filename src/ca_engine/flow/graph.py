@@ -319,7 +319,6 @@ def parse_manifest(text: str) -> FlowGraph:
 def validate(graph: FlowGraph) -> list[Violation]:
     """Graph-level checks: duplicates, dangling wiring, cycles, unknown outcomes."""
     violations = []
-    names = [s.name for s in graph.steps]
     by_name: dict[str, StepSpec] = {}
     for step in graph.steps:
         if step.name in by_name:
@@ -345,7 +344,7 @@ def validate(graph: FlowGraph) -> list[Violation]:
                     )
                 )
 
-    cycle_members = _cycle_members(graph, by_name)
+    cycle_members = _cycle_members(graph)
     if cycle_members:
         violations.append(Violation("cycle", f"dependency cycle involving [{', '.join(sorted(cycle_members))}]"))
 
@@ -376,7 +375,7 @@ def _adjacency(graph: FlowGraph) -> dict[str, set[str]]:
     return adj
 
 
-def _cycle_members(graph: FlowGraph, by_name: Mapping[str, StepSpec]) -> set[str]:
+def _cycle_members(graph: FlowGraph) -> set[str]:
     """Nodes lying on some dependency cycle.
 
     Iteratively strips nodes with zero in-degree, then zero out-degree; what

@@ -1,22 +1,25 @@
-"""Flow execution: topological scheduling, partition fan-out, artifact capture.
+"""Flow execution: dependency-counted scheduling, partition fan-out, artifact capture.
 
 Execution decomposes the graph into tasks: one per plain step, plus one task
-per partition and a merge task for partitioned steps. Independent tasks run
-concurrently up to the parallelism limit; a task starts only after all of its
-upstream producers succeeded. On the first failure, transitively dependent
-tasks are skipped while independent ones keep running, so a failed run still
-yields maximal feedback. Every executed task stores its log, environment
-snapshot, and outputs as artifacts and contributes a step outcome to the
-run record, which is written once, after the run's feedback bundle is stored.
+per partition and a merge task for partitioned steps. Each task counts the
+upstream tasks it still waits for, and it starts when its last upstream task
+succeeds; tasks that become ready together are submitted in key order, and
+up to the parallelism limit run at once. A failed task never releases its
+dependents, so they never start, while independent tasks keep running and a
+failed run still yields maximal feedback. Every executed task stores its
+log, environment snapshot, and outputs as artifacts and contributes a step
+outcome to the run record, which is written once, after the run's feedback
+bundle is stored.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -112,18 +115,20 @@ def _render(template: str, mapping: Mapping[str, str]) -> str:
 
 
 class _RunContext:
-    def __init__(self, graph: FlowGraph, executor, store, workdir_root, manifest_id, env):
+    def __init__(self, graph: FlowGraph, executor, store, workdir_root, manifest_id, env, externals):
         self.executor = executor
         self.store = store
         self.workdir_root = workdir_root
         self.manifest_id = manifest_id
         self.env = env
+        self.externals: dict[InputRef, ArtifactId] = externals
         self.lock = threading.Lock()
-        self.produced: dict[tuple[str, str], ArtifactId] = {}
-        self.partition_outputs: dict[tuple[str, int, str], ArtifactId] = {}
+        # (step name, slot) for plain and merge tasks, (partition task key, slot)
+        # for partition tasks. A task starts only after its producers finished,
+        # so it reads its inputs here without the lock.
+        self.outputs: dict[tuple[str, str], ArtifactId] = {}
         self.outcomes: list[StepOutcome] = []
         self.outcome_slots = {(o.step, o.slot) for o in graph.outcomes}
-        self.external: dict[InputRef, ArtifactId] = {}
         # Per run, never per store: the next run must verify again.
         self.verify_locks: dict[ArtifactId, threading.Lock] = {}
         self.verified: set[ArtifactId] = set()
@@ -187,9 +192,7 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
             for i in range(partition.count):
                 key = f"{slot}.{i:03d}"
                 path = inputs_dir / key
-                with ctx.lock:
-                    artifact_id = ctx.partition_outputs[(step.name, i, slot)]
-                _materialize(ctx, artifact_id, path)
+                _materialize(ctx, ctx.outputs[(f"{step.name}.p{i}", slot)], path)
                 input_paths[key] = path
                 input_sources[key] = f"step:{step.name}:{slot}[{i}]"
                 paths.append(str(path))
@@ -201,15 +204,12 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
         for slot, ref in sorted(step.inputs.items()):
             path = inputs_dir / slot
             if isinstance(ref, StepInput):
-                with ctx.lock:
-                    artifact_id = ctx.produced[(ref.step, ref.slot)]
-                source = ref.describe()
+                artifact_id = ctx.outputs[(ref.step, ref.slot)]
             else:
-                artifact_id = ctx.external[ref]
-                source = ref.describe()
+                artifact_id = ctx.externals[ref]
             _materialize(ctx, artifact_id, path)
             input_paths[slot] = path
-            input_sources[slot] = source
+            input_sources[slot] = ref.describe()
             substitution[f"{{input:{slot}}}"] = str(path)
         if ctx.manifest_id is not None:
             path = inputs_dir / "data_manifest.json"
@@ -236,15 +236,9 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
     output_ids: dict[str, ArtifactId] = {}
     if result.exit_code == 0:
         for slot in declared_outputs:
-            blob = result.outputs[slot]
-            if task.is_merge:
-                is_outcome = (step.name, slot) in ctx.outcome_slots
-            elif task.partition_index is not None:
-                is_outcome = False
-            else:
-                is_outcome = (step.name, slot) in ctx.outcome_slots
+            is_outcome = task.partition_index is None and (step.name, slot) in ctx.outcome_slots
             kind = ArtifactKind.RESULT if is_outcome else ArtifactKind.DATA
-            output_ids[slot] = ctx.store.put(kind, blob)
+            output_ids[slot] = ctx.store.put(kind, result.outputs[slot])
 
     outcome = StepOutcome(
         step=step.name,
@@ -257,17 +251,11 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
         env_snapshot_id=env_id,
         input_sources=input_sources,
     )
+    owner = step.name if task.partition_index is None else task.key
     with ctx.lock:
         ctx.outcomes.append(outcome)
-        if result.exit_code == 0:
-            if task.is_merge:
-                ctx.produced[(step.name, step.partition.merge_slot())] = output_ids[step.partition.merge_slot()]
-            elif task.partition_index is not None:
-                for slot, artifact_id in output_ids.items():
-                    ctx.partition_outputs[(step.name, task.partition_index, slot)] = artifact_id
-            else:
-                for slot, artifact_id in output_ids.items():
-                    ctx.produced[(step.name, slot)] = artifact_id
+        for slot, artifact_id in output_ids.items():
+            ctx.outputs[(owner, slot)] = artifact_id
     return result.exit_code == 0
 
 
@@ -329,60 +317,40 @@ def execute(
     workdir_root.mkdir(parents=True, exist_ok=True)
 
     env = {name: os.environ[name] for name in graph.env_whitelist if name in os.environ}
-    ctx = _RunContext(graph, executor, store, workdir_root, manifest_id, env)
-    ctx.external = externals
+    ctx = _RunContext(graph, executor, store, workdir_root, manifest_id, env, externals)
 
     tasks = _build_tasks(graph, order)
-    states = {key: "pending" for key in tasks}
-    dependents: dict[str, set[str]] = {key: set() for key in tasks}
+    waiting = {key: len(task.deps) for key, task in tasks.items()}
+    dependents: dict[str, list[str]] = {key: [] for key in tasks}
     for key, task in tasks.items():
         for dep in task.deps:
-            dependents[dep].add(key)
+            dependents[dep].append(key)
 
-    def skip_downstream(key: str) -> None:
-        stack = list(dependents[key])
-        while stack:
-            nxt = stack.pop()
-            if states[nxt] == "pending":
-                states[nxt] = "skipped"
-                stack.extend(dependents[nxt])
-
+    completed: queue.SimpleQueue = queue.SimpleQueue()
     pool = ThreadPoolExecutor(max_workers=max(1, parallelism))
-    running: dict = {}
-    failure = None
+
+    def submit(keys) -> int:
+        for key in sorted(keys):
+            future = pool.submit(_run_task, ctx, tasks[key])
+            future.add_done_callback(lambda future, key=key: completed.put((key, future)))
+        return len(keys)
+
     try:
-        while True:
-            ready = sorted(
-                key
-                for key, state in states.items()
-                if state == "pending" and all(states[d] == "succeeded" for d in tasks[key].deps)
-            )
-            for key in ready:
-                states[key] = "running"
-                running[pool.submit(_run_task, ctx, tasks[key])] = key
-            if not running:
-                break
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                key = running.pop(future)
-                try:
-                    ok = future.result()
-                except Exception as exc:
-                    failure = exc
-                    states[key] = "failed"
-                    break
-                states[key] = "succeeded" if ok else "failed"
-                if not ok:
-                    skip_downstream(key)
-            if failure is not None:
-                break
+        running = submit([key for key, count in waiting.items() if count == 0])
+        while running:
+            key, future = completed.get()
+            running -= 1
+            # A task exception propagates and aborts the run; a failed task
+            # releases nothing, so its dependents never start.
+            if future.result():
+                for nxt in dependents[key]:
+                    waiting[nxt] -= 1
+                running += submit([nxt for nxt in dependents[key] if waiting[nxt] == 0])
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         shutil.rmtree(workdir_root, ignore_errors=True)
-    if failure is not None:
-        raise failure
 
-    succeeded = all(state == "succeeded" for state in states.values())
+    succeeded = len(ctx.outcomes) == len(tasks) and all(o.exit_code == 0 for o in ctx.outcomes)
 
     # Deterministic record order: topological position, partitions before merge.
     position = {name: i for i, name in enumerate(order)}
@@ -393,7 +361,7 @@ def execute(
     result_ids = []
     seen = set()
     for outcome_spec in graph.outcomes:
-        artifact_id = ctx.produced.get((outcome_spec.step, outcome_spec.slot))
+        artifact_id = ctx.outputs.get((outcome_spec.step, outcome_spec.slot))
         if artifact_id is not None and artifact_id not in seen:
             result_ids.append(artifact_id)
             seen.add(artifact_id)

@@ -282,9 +282,6 @@ class Pipeline:
         row = self._promotions.get(("release", run_id))
         return row["release_run_id"] if row is not None else None
 
-    def _append_decision(self, request: PromotionRequest) -> None:
-        self._promotions.append([{"type": "decision", **request.to_dict()}])
-
     # -- data scope ---------------------------------------------------------
 
     def _dataset_manifest(self, avt: ArtifactVersionTuple) -> list[str] | None:
@@ -300,7 +297,16 @@ class Pipeline:
             return doc
         return None
 
-    def _run(self, plan_tuple, graph, executor, *, kind, scope, branch, labels) -> RunRecord:
+    def _data_scope(self, avt: ArtifactVersionTuple, *, subset: bool) -> DataScope:
+        """All items of the data pin's manifest, or their deterministic subset."""
+        manifest = self._dataset_manifest(avt)
+        if manifest is None:
+            return DataScope.full()
+        if subset:
+            return DataScope.subset(tuple(subset_select(manifest, self.subset_fraction, self.subset_seed)))
+        return DataScope.full(tuple(manifest))
+
+    def _run(self, plan_tuple, graph, executor, *, kind, subset, branch, labels) -> RunRecord:
         return execute(
             graph,
             plan_tuple,
@@ -309,7 +315,7 @@ class Pipeline:
             store=self.store,
             run_store=self.run_store,
             lineage=self.lineage,
-            data_scope=scope,
+            data_scope=self._data_scope(plan_tuple, subset=subset),
             branch=branch,
             labels=labels,
             parallelism=self.parallelism,
@@ -322,23 +328,16 @@ class Pipeline:
         approved promotion (gatekeeping invariant).
         """
         avt = self.branch_pins(branch).to_tuple()
-        manifest = self._dataset_manifest(avt)
-        scope = DataScope.full(tuple(manifest) if manifest is not None else None)
-        return self._run(avt, graph, executor, kind="validation", scope=scope, branch=branch, labels={"branch": branch})
+        return self._run(avt, graph, executor, kind="validation", subset=False, branch=branch, labels={"branch": branch})
 
     def run_validation(self, plan: ValidationPlan, graph: FlowGraph, executor) -> RunRecord:
         """Execute the planned run on a data subset and store its feedback."""
-        manifest = self._dataset_manifest(plan.tuple)
-        if manifest is not None:
-            scope = DataScope.subset(tuple(subset_select(manifest, self.subset_fraction, self.subset_seed)))
-        else:
-            scope = DataScope.full()
         return self._run(
             plan.tuple,
             graph,
             executor,
             kind="validation",
-            scope=scope,
+            subset=True,
             branch=plan.branch,
             labels={"branch": plan.branch, "event": plan.event_id},
         )
@@ -367,20 +366,19 @@ class Pipeline:
             raise GateFailedError(f"run {run_id} fails gate constraint(s): {', '.join(failing)}")
         return record
 
-    def approve(self, run_id: str, approver: str) -> PromotionRequest:
-        """Record the approval that enables exactly one release of this run."""
+    def _decide(self, run_id: str, approver: str, decision: str, reason: str) -> PromotionRequest:
         with self.repo.write_lock():
             self._check_approvable(run_id)
-            request = PromotionRequest(run_id, approver, "approved", "", utc_now_iso())
-            self._append_decision(request)
+            request = PromotionRequest(run_id, approver, decision, reason, utc_now_iso())
+            self._promotions.append([{"type": "decision", **request.to_dict()}])
         return request
 
+    def approve(self, run_id: str, approver: str) -> PromotionRequest:
+        """Record the approval that enables exactly one release of this run."""
+        return self._decide(run_id, approver, "approved", "")
+
     def reject(self, run_id: str, approver: str, reason: str) -> PromotionRequest:
-        with self.repo.write_lock():
-            self._check_approvable(run_id)
-            request = PromotionRequest(run_id, approver, "rejected", reason, utc_now_iso())
-            self._append_decision(request)
-        return request
+        return self._decide(run_id, approver, "rejected", reason)
 
     # -- release ---------------------------------------------------------------
 
@@ -393,15 +391,12 @@ class Pipeline:
         if released is not None:
             raise AlreadyReleasedError(f"run {approved_run} was already released as {released}")
         validation = self.run_store.load(approved_run)
-
-        manifest = self._dataset_manifest(validation.tuple)
-        scope = DataScope.full(tuple(manifest) if manifest is not None else None)
         release = self._run(
             validation.tuple,
             graph,
             executor,
             kind="release",
-            scope=scope,
+            subset=False,
             branch=MAIN_BRANCH,
             labels={"branch": MAIN_BRANCH, "promoted-from": approved_run},
         )

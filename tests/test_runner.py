@@ -332,6 +332,95 @@ def test_random_dag_scheduling_soundness(store, run_store):
             assert spans[src][1] < spans[dst][0]
 
 
+def random_failing_dag(rng, count):
+    """A random flow of ``count`` steps, some partitioned, and task keys that fail.
+
+    Returns the manifest, each task key's upstream task keys, the partitioned
+    step names and the failing task keys.
+    """
+    steps, deps, partitioned = [], {}, set()
+    final = {}
+    for index in range(count):
+        name = f"s{index:02d}"
+        upstream = [f"s{u:02d}" for u in range(index) if rng.random() < 0.5]
+        inputs = {f"in{i}": {"step": u, "slot": "out"} for i, u in enumerate(upstream)}
+        upstream_keys = {final[u] for u in upstream}
+        if rng.random() < 0.3:
+            parts = rng.randrange(1, 4)
+            steps.append({
+                "name": name, "command": "go {output:part} {partition}", "inputs": inputs, "outputs": ["part"],
+                "partition": {"count": parts, "merge_command": "join {partitions:part} {output:out}"},
+            })
+            for i in range(parts):
+                deps[f"{name}.p{i}"] = upstream_keys
+            deps[f"{name}.merge"] = {f"{name}.p{i}" for i in range(parts)}
+            partitioned.add(name)
+            final[name] = f"{name}.merge"
+        else:
+            steps.append({"name": name, "command": "go {output:out}", "inputs": inputs, "outputs": ["out"]})
+            deps[name] = upstream_keys
+            final[name] = name
+    fails = {key for key in deps if rng.random() < 0.15}
+    manifest = {"steps": steps, "outcomes": [{"step": steps[-1]["name"], "slot": "out"}]}
+    return manifest, deps, partitioned, fails
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_failed_tasks_never_release_their_dependents(parallelism, store, run_store):
+    rng = random.Random(4242)
+    joins_with_one_failed_parent = failed_partitions = 0
+    for _ in range(15):
+        manifest, deps, partitioned, fails = random_failing_dag(rng, rng.randrange(3, 9))
+        graph = parse_manifest(json.dumps(manifest))
+
+        def default(*, command, inputs, outputs, env, workdir):
+            return ScriptedResult({slot: workdir.name.encode() for slot in outputs}, 0, b"")
+
+        executor = RecordingExecutor({key: scripted({}, exit_code=1) for key in fails}, default=default)
+        record = execute(
+            graph, baseline_tuple(), executor, kind="validation",
+            store=store, run_store=run_store, parallelism=parallelism,
+        )
+
+        def upstream_of(key):
+            seen, stack = set(), list(deps[key])
+            while stack:
+                dep = stack.pop()
+                if dep not in seen:
+                    seen.add(dep)
+                    stack.extend(deps[dep])
+            return seen
+
+        expected = {key for key in deps if not upstream_of(key) & fails}
+        ran = [inv.key for inv in executor.invocations]
+        assert sorted(ran) == sorted(expected)
+
+        def task_key(outcome):
+            if outcome.partition_index is not None:
+                return f"{outcome.step}.p{outcome.partition_index}"
+            return f"{outcome.step}.merge" if outcome.step in partitioned else outcome.step
+
+        # One outcome per task that ran; no skipped task has an outcome.
+        assert sorted(task_key(o) for o in record.step_outcomes) == sorted(expected)
+        assert (record.status == "succeeded") == (not fails)
+        assert (record.status == "succeeded") == all(o.exit_code == 0 for o in record.step_outcomes)
+
+        spans = {inv.key: (inv.start_seq, inv.end_seq) for inv in executor.invocations}
+        for key in expected:
+            for dep in deps[key]:
+                assert spans[dep][1] < spans[key][0]
+        joins_with_one_failed_parent += sum(
+            1
+            for key in deps
+            if not key.endswith(".merge") and len(deps[key]) >= 2
+            and deps[key] <= expected and len(deps[key] & fails) == 1
+        )
+        failed_partitions += len({key for key in fails & expected if ".p" in key})
+    # The seeded DAGs include a step whose upstreams all ran and exactly one
+    # failed, and a failed partition task.
+    assert joins_with_one_failed_parent and failed_partitions
+
+
 def fan_manifest(src_ref, count):
     """One partitioned step whose every partition reads the same input."""
     return {
