@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -97,18 +97,6 @@ def extract_metrics(bundle: FeedbackBundle, metrics_artifact: ArtifactId, *, sto
     return parsed
 
 
-def find_metrics_artifact(run: RunRecord, metrics_output) -> ArtifactId | None:
-    """Artifact produced at the manifest's designated metrics (step, slot), if any."""
-    if metrics_output is None:
-        return None
-    for outcome in run.step_outcomes:
-        if outcome.step == metrics_output.step and metrics_output.slot in outcome.output_ids:
-            # Partitioned steps expose metrics through the merge task only.
-            if outcome.partition_index is None:
-                return outcome.output_ids[metrics_output.slot]
-    return None
-
-
 def collect(
     run: RunRecord,
     *,
@@ -171,13 +159,7 @@ class GateCheck:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "op": self.op,
-            "threshold": self.threshold,
-            "observed": self.observed,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -229,7 +211,7 @@ class MetricDelta:
     delta: float
 
     def to_dict(self) -> dict:
-        return {"metric": self.metric, "value_a": self.value_a, "value_b": self.value_b, "delta": self.delta}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
-"""Flow execution: dependency-counted scheduling, partition fan-out, artifact capture.
+"""Flow execution: a run is planned into tasks, then scheduled by dependency counts.
 
-Execution decomposes the graph into tasks: one per plain step, plus one task
-per partition and a merge task for partitioned steps. Each task counts the
-upstream tasks it still waits for, and it starts when its last upstream task
-succeeds; tasks that become ready together are submitted in key order, and
-up to the parallelism limit run at once. A failed task never releases its
-dependents, so they never start, while independent tasks keep running and a
-failed run still yields maximal feedback. Every executed task stores its
-log, environment snapshot, and outputs as artifacts and contributes a step
-outcome to the run record, which is written once, after the run's feedback
-bundle is stored.
+Before anything executes, the graph is planned into tasks: one per plain
+step, plus one per partition and a merge task for partitioned steps. Each
+task is a command with its input files and output slots: every input is a
+resolved artifact or an upstream task's output slot, and the plan also fixes
+which outputs are results and which tasks a task waits for. Each task counts
+the upstream tasks it still waits for, and it starts when its last upstream
+task succeeds; tasks that become ready together are submitted in key order,
+and up to the parallelism limit run at once. A failed task never releases
+its dependents, so they never start, while independent tasks keep running
+and a failed run still yields maximal feedback. Every executed task stores
+its log, environment snapshot, and outputs as artifacts and contributes a
+step outcome to the run record, in plan order; the record is written once,
+after the run's feedback bundle is stored.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import FlowValidationError, MalformedMetricsError, UnresolvedInputError
-from ..feedback import collect, find_metrics_artifact
+from ..feedback import collect
 from ..store import ArtifactId, ArtifactKind, ArtifactStore
 from ..tuples import ArtifactVersionTuple, RunRecord, RunStore, StepOutcome
 from ..util import canonical_json, utc_now_iso
@@ -38,7 +41,6 @@ from .graph import (
     InputRef,
     PinInput,
     StepInput,
-    StepSpec,
     command_tokens,
     topo_order,
     validate,
@@ -72,63 +74,86 @@ class DataScope:
 FULL_SCOPE = DataScope.full()
 
 
-@dataclass
+@dataclass(frozen=True)
+class _Input:
+    """An input file: a resolved artifact id, or the ``(owner, slot)`` a task publishes."""
+
+    key: str
+    file: str
+    source: ArtifactId | tuple[str, str]
+    placeholder: str  # inputs that share one render as their paths joined by spaces
+    description: str
+
+
+@dataclass(frozen=True)
 class _Task:
     key: str
-    step: StepSpec
+    step: str
     partition_index: int | None
-    is_merge: bool
+    command: str
+    inputs: tuple[_Input, ...]
+    outputs: tuple[str, ...]
+    results: frozenset[str]
+    owner: str
     deps: frozenset[str]
 
 
-def _final_task_key(step: StepSpec) -> str:
-    return f"{step.name}.merge" if step.partition is not None else step.name
+def _plan(
+    graph: FlowGraph, order: list[str], externals: Mapping[InputRef, ArtifactId], manifest_id: ArtifactId | None
+) -> dict[str, _Task]:
+    """The run's tasks in plan order: topological, each step's partitions before its merge.
 
-
-def _build_tasks(graph: FlowGraph, order: list[str]) -> dict[str, _Task]:
+    A plain or merge task publishes its outputs under its step name, a
+    partition task under its own key, so downstream steps and outcomes see
+    only a step's final task.
+    """
+    results = {(o.step, o.slot) for o in graph.outcomes}
+    final: dict[str, str] = {}
     tasks: dict[str, _Task] = {}
+
+    def add(key, name, index, command, inputs, outputs, owner, deps) -> None:
+        published = frozenset(slot for slot in outputs if (owner, slot) in results)
+        tasks[key] = _Task(key, name, index, command, tuple(inputs), outputs, published, owner, frozenset(deps))
+
     for name in order:
         step = graph.step(name)
-        upstream = {
-            _final_task_key(graph.step(ref.step))
-            for ref in step.inputs.values()
-            if isinstance(ref, StepInput)
-        }
+        inputs = []
+        for slot, ref in sorted(step.inputs.items()):
+            source = (ref.step, ref.slot) if isinstance(ref, StepInput) else externals[ref]
+            inputs.append(_Input(slot, slot, source, f"{{input:{slot}}}", ref.describe()))
+        if manifest_id is not None:
+            token = f"{{input:{DATA_MANIFEST_SLOT}}}"
+            inputs.append(_Input(DATA_MANIFEST_SLOT, "data_manifest.json", manifest_id, token, f"artifact:{manifest_id}"))
+        deps = [final[ref.step] for ref in step.inputs.values() if isinstance(ref, StepInput)]
         if step.partition is None:
-            tasks[name] = _Task(name, step, None, False, frozenset(upstream))
-        else:
-            part_keys = []
-            for i in range(step.partition.count):
-                key = f"{name}.p{i}"
-                tasks[key] = _Task(key, step, i, False, frozenset(upstream))
-                part_keys.append(key)
-            merge_key = f"{name}.merge"
-            tasks[merge_key] = _Task(merge_key, step, None, True, frozenset(part_keys))
+            add(name, name, None, step.command, inputs, step.outputs, name, deps)
+            final[name] = name
+            continue
+        parts = [f"{name}.p{i}" for i in range(step.partition.count)]
+        for i, key in enumerate(parts):
+            add(key, name, i, step.command, inputs, step.outputs, key, deps)
+        merge_inputs = [
+            _Input(f"{slot}.{i:03d}", f"{slot}.{i:03d}", (key, slot), f"{{partitions:{slot}}}", f"step:{name}:{slot}[{i}]")
+            for slot in step.outputs
+            for i, key in enumerate(parts)
+        ]
+        final[name] = f"{name}.merge"
+        merge_outputs = (step.partition.merge_slot(),)
+        add(final[name], name, None, step.partition.merge_command, merge_inputs, merge_outputs, name, parts)
     return tasks
 
 
-def _render(template: str, mapping: Mapping[str, str]) -> str:
-    def repl(match):
-        return mapping[match.group(0)]
-
-    return TOKEN_RE.sub(repl, template)
-
-
 class _RunContext:
-    def __init__(self, graph: FlowGraph, executor, store, workdir_root, manifest_id, env, externals):
+    def __init__(self, executor, store, workdir_root, env):
         self.executor = executor
         self.store = store
         self.workdir_root = workdir_root
-        self.manifest_id = manifest_id
         self.env = env
-        self.externals: dict[InputRef, ArtifactId] = externals
         self.lock = threading.Lock()
-        # (step name, slot) for plain and merge tasks, (partition task key, slot)
-        # for partition tasks. A task starts only after its producers finished,
-        # so it reads its inputs here without the lock.
+        # Keyed by the producing task's (owner, slot). A task starts only after
+        # its producers finished, so it reads its inputs here without the lock.
         self.outputs: dict[tuple[str, str], ArtifactId] = {}
-        self.outcomes: list[StepOutcome] = []
-        self.outcome_slots = {(o.step, o.slot) for o in graph.outcomes}
+        self.outcomes: dict[str, StepOutcome] = {}
         # Per run, never per store: the next run must verify again.
         self.verify_locks: dict[ArtifactId, threading.Lock] = {}
         self.verified: set[ArtifactId] = set()
@@ -172,7 +197,6 @@ def _materialize(ctx: _RunContext, artifact_id: ArtifactId, path: Path) -> None:
 
 
 def _run_task(ctx: _RunContext, task: _Task) -> bool:
-    step = task.step
     workdir = ctx.workdir_root / task.key
     inputs_dir = workdir / "inputs"
     outputs_dir = workdir / "outputs"
@@ -180,50 +204,20 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
     outputs_dir.mkdir(parents=True)
 
     input_paths: dict[str, Path] = {}
-    input_sources: dict[str, str] = {}
-    substitution: dict[str, str] = {}
+    substitution: dict[str, list[str]] = {}
+    for item in task.inputs:
+        path = inputs_dir / item.file
+        source = item.source if isinstance(item.source, ArtifactId) else ctx.outputs[item.source]
+        _materialize(ctx, source, path)
+        input_paths[item.key] = path
+        substitution.setdefault(item.placeholder, []).append(str(path))
+    declared_outputs = {slot: outputs_dir / slot for slot in task.outputs}
+    for slot, path in declared_outputs.items():
+        substitution[f"{{output:{slot}}}"] = [str(path)]
+    if task.partition_index is not None:
+        substitution["{partition}"] = [str(task.partition_index)]
 
-    if task.is_merge:
-        partition = step.partition
-        command = partition.merge_command
-        merge_slot = partition.merge_slot()
-        for slot in step.outputs:
-            paths = []
-            for i in range(partition.count):
-                key = f"{slot}.{i:03d}"
-                path = inputs_dir / key
-                _materialize(ctx, ctx.outputs[(f"{step.name}.p{i}", slot)], path)
-                input_paths[key] = path
-                input_sources[key] = f"step:{step.name}:{slot}[{i}]"
-                paths.append(str(path))
-            substitution[f"{{partitions:{slot}}}"] = " ".join(paths)
-        declared_outputs = {merge_slot: outputs_dir / merge_slot}
-        substitution[f"{{output:{merge_slot}}}"] = str(declared_outputs[merge_slot])
-    else:
-        command = step.command
-        for slot, ref in sorted(step.inputs.items()):
-            path = inputs_dir / slot
-            if isinstance(ref, StepInput):
-                artifact_id = ctx.outputs[(ref.step, ref.slot)]
-            else:
-                artifact_id = ctx.externals[ref]
-            _materialize(ctx, artifact_id, path)
-            input_paths[slot] = path
-            input_sources[slot] = ref.describe()
-            substitution[f"{{input:{slot}}}"] = str(path)
-        if ctx.manifest_id is not None:
-            path = inputs_dir / "data_manifest.json"
-            _materialize(ctx, ctx.manifest_id, path)
-            input_paths[DATA_MANIFEST_SLOT] = path
-            input_sources[DATA_MANIFEST_SLOT] = f"artifact:{ctx.manifest_id}"
-            substitution[f"{{input:{DATA_MANIFEST_SLOT}}}"] = str(path)
-        declared_outputs = {slot: outputs_dir / slot for slot in step.outputs}
-        for slot, path in declared_outputs.items():
-            substitution[f"{{output:{slot}}}"] = str(path)
-        if task.partition_index is not None:
-            substitution["{partition}"] = str(task.partition_index)
-
-    rendered = _render(command, substitution)
+    rendered = TOKEN_RE.sub(lambda match: " ".join(substitution[match.group(0)]), task.command)
     started = time.monotonic()
     result = ctx.executor.run(
         rendered, inputs=input_paths, outputs=declared_outputs, env=ctx.env, workdir=workdir
@@ -235,13 +229,12 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
 
     output_ids: dict[str, ArtifactId] = {}
     if result.exit_code == 0:
-        for slot in declared_outputs:
-            is_outcome = task.partition_index is None and (step.name, slot) in ctx.outcome_slots
-            kind = ArtifactKind.RESULT if is_outcome else ArtifactKind.DATA
+        for slot in task.outputs:
+            kind = ArtifactKind.RESULT if slot in task.results else ArtifactKind.DATA
             output_ids[slot] = ctx.store.put(kind, result.outputs[slot])
 
     outcome = StepOutcome(
-        step=step.name,
+        step=task.step,
         partition_index=task.partition_index,
         exit_code=result.exit_code,
         output_ids=output_ids,
@@ -249,13 +242,12 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
         command_rendered=rendered,
         wall_time_ms=wall_time_ms,
         env_snapshot_id=env_id,
-        input_sources=input_sources,
+        input_sources={item.key: item.description for item in task.inputs},
     )
-    owner = step.name if task.partition_index is None else task.key
     with ctx.lock:
-        ctx.outcomes.append(outcome)
+        ctx.outcomes[task.key] = outcome
         for slot, artifact_id in output_ids.items():
-            ctx.outputs[(owner, slot)] = artifact_id
+            ctx.outputs[(task.owner, slot)] = artifact_id
     return result.exit_code == 0
 
 
@@ -309,6 +301,8 @@ def execute(
                 f"but the data scope carries no manifest"
             )
 
+    tasks = _plan(graph, order, externals, manifest_id)
+
     run_id = run_store.mint_run_id(avt)
     started_at = utc_now_iso()
 
@@ -317,9 +311,8 @@ def execute(
     workdir_root.mkdir(parents=True, exist_ok=True)
 
     env = {name: os.environ[name] for name in graph.env_whitelist if name in os.environ}
-    ctx = _RunContext(graph, executor, store, workdir_root, manifest_id, env, externals)
+    ctx = _RunContext(executor, store, workdir_root, env)
 
-    tasks = _build_tasks(graph, order)
     waiting = {key: len(task.deps) for key, task in tasks.items()}
     dependents: dict[str, list[str]] = {key: [] for key in tasks}
     for key, task in tasks.items():
@@ -350,21 +343,13 @@ def execute(
         pool.shutdown(wait=True, cancel_futures=True)
         shutil.rmtree(workdir_root, ignore_errors=True)
 
-    succeeded = len(ctx.outcomes) == len(tasks) and all(o.exit_code == 0 for o in ctx.outcomes)
+    outcomes = [ctx.outcomes[key] for key in tasks if key in ctx.outcomes]
+    succeeded = len(outcomes) == len(tasks) and all(o.exit_code == 0 for o in outcomes)
 
-    # Deterministic record order: topological position, partitions before merge.
-    position = {name: i for i, name in enumerate(order)}
-    ctx.outcomes.sort(
-        key=lambda o: (position[o.step], o.partition_index if o.partition_index is not None else 1 << 30)
-    )
-
-    result_ids = []
-    seen = set()
-    for outcome_spec in graph.outcomes:
-        artifact_id = ctx.outputs.get((outcome_spec.step, outcome_spec.slot))
-        if artifact_id is not None and artifact_id not in seen:
-            result_ids.append(artifact_id)
-            seen.add(artifact_id)
+    produced = [ctx.outputs.get((o.step, o.slot)) for o in graph.outcomes]
+    result_ids = list(dict.fromkeys(artifact_id for artifact_id in produced if artifact_id is not None))
+    metrics = graph.metrics_output
+    metrics_id = ctx.outputs.get((metrics.step, metrics.slot)) if metrics is not None else None
 
     record = RunRecord(
         run_id=run_id,
@@ -374,7 +359,7 @@ def execute(
         started_at=started_at,
         finished_at=utc_now_iso(),
         status="succeeded" if succeeded else "failed",
-        step_outcomes=ctx.outcomes,
+        step_outcomes=outcomes,
         result_ids=result_ids,
         labels=dict(labels or {}),
         data_scope={
@@ -384,7 +369,7 @@ def execute(
     )
     metrics_error = None
     try:
-        collect(record, store=store, metrics_artifact=find_metrics_artifact(record, graph.metrics_output))
+        collect(record, store=store, metrics_artifact=metrics_id)
     except MalformedMetricsError as exc:
         metrics_error = exc
     run_store.record(record)

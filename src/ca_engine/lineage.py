@@ -10,7 +10,7 @@ artifacts created before it started), so upstream closures terminate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .errors import MissingInputError, RunNotFoundError
@@ -144,13 +144,7 @@ class Divergence:
     new_hash: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "partition_index": self.partition_index,
-            "slot": self.slot,
-            "old_hash": self.old_hash,
-            "new_hash": self.new_hash,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

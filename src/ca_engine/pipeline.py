@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -45,7 +45,7 @@ from .tuples import (
     RunStore,
     VersionPin,
 )
-from .util import atomic_write_json, load_json, utc_now_iso
+from .util import atomic_write_json, load_state, utc_now_iso
 
 EVENT_SOURCES = ("code", "data", "dependencies", "deployment")
 MAIN_BRANCH = "main"
@@ -121,13 +121,7 @@ class PromotionRequest:
     at: str
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "approver": self.approver,
-            "decision": self.decision,
-            "reason": self.reason,
-            "at": self.at,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -217,8 +211,9 @@ class Pipeline:
     # -- branch pins -----------------------------------------------------------
 
     def _load_pins(self) -> dict[str, BranchPins]:
-        doc = load_json(self.repo.pins_path, {}) or {}
-        return {branch: BranchPins.from_dict(row) for branch, row in doc.items()}
+        return load_state(
+            self.repo.pins_path, lambda doc: {branch: BranchPins.from_dict(row) for branch, row in doc.items()}, {}
+        )
 
     def _save_pins(self, pins: dict[str, BranchPins]) -> None:
         atomic_write_json(self.repo.pins_path, {branch: bp.to_dict() for branch, bp in sorted(pins.items())})

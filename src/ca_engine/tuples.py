@@ -9,7 +9,6 @@ hex chars of the tuple hash with a persisted, strictly increasing sequence.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -23,7 +22,7 @@ from .errors import (
 )
 from .repo import Repository
 from .store import ArtifactId, ArtifactKind, ArtifactStore, is_content_hash, sha256_hex
-from .util import atomic_write_json, atomic_write_text, canonical_json, load_json
+from .util import atomic_write_json, atomic_write_text, canonical_json, load_state
 
 COMPONENT_RE = re.compile(r"[a-z0-9_-]+")
 BASELINE_COMPONENTS = ("code", "data", "dependencies", "deployment")
@@ -263,6 +262,12 @@ class RunRecord:
         )
 
 
+def _counters(doc: object) -> dict[str, int]:
+    if not isinstance(doc, dict) or not all(isinstance(seq, int) for seq in doc.values()):
+        raise TypeError("expected an object of run counters")
+    return doc
+
+
 class RunStore:
     """Mints run ids and persists run records under ``runs/``."""
 
@@ -275,11 +280,17 @@ class RunStore:
         return self.repo.runs_dir / f"{run_id}.json"
 
     def mint_run_id(self, avt: ArtifactVersionTuple) -> str:
-        """Next run id for the tuple; the counter is persisted before return."""
+        """Next run id for the tuple; the counter is persisted before return.
+
+        An id that already has a record is skipped, so a lost or reset
+        counter never hands out a recorded run's id again.
+        """
         prefix = tuple_hash(avt)[:12]
         with self.repo.write_lock():
-            counters = load_json(self.repo.counters_path, {}) or {}
-            seq = int(counters.get(prefix, 0)) + 1
+            counters = load_state(self.repo.counters_path, _counters, {})
+            seq = counters.get(prefix, 0) + 1
+            while self.exists(f"{prefix}-{seq:06d}"):
+                seq += 1
             counters[prefix] = seq
             try:
                 atomic_write_json(self.repo.counters_path, counters)
@@ -341,15 +352,13 @@ class RunStore:
         return self.run_path(run_id).exists()
 
     def load(self, run_id: str) -> RunRecord:
-        path = self.run_path(run_id)
-        if not path.exists():
+        record = load_state(self.run_path(run_id), RunRecord.from_dict, None)
+        if record is None:
             raise RunNotFoundError(f"no run {run_id}")
-        return RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return record
 
     def list(self) -> list[RunRecord]:
-        records = [
-            RunRecord.from_dict(json.loads(p.read_text(encoding="utf-8")))
-            for p in self.repo.runs_dir.glob("*.json")
-        ]
+        loaded = (load_state(p, RunRecord.from_dict, None) for p in self.repo.runs_dir.glob("*.json"))
+        records = [record for record in loaded if record is not None]
         records.sort(key=lambda r: (r.started_at, r.run_id))
         return records

@@ -1,4 +1,4 @@
-"""Shared helpers: UTC timestamps, canonical JSON, atomic file writes, JSONL."""
+"""Shared helpers: UTC timestamps, canonical JSON, atomic file writes, JSONL, engine state."""
 
 from __future__ import annotations
 
@@ -7,7 +7,11 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
+
+from .errors import IntegrityViolationError, InvalidTupleError
+
+T = TypeVar("T")
 
 
 def utc_now_iso() -> str:
@@ -74,3 +78,22 @@ def load_json(path: Path, default: Any = None) -> Any:
         return default
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_state(path: Path, build: Callable[[Any], T], default: T) -> T:
+    """``build`` applied to an engine-written JSON file, or ``default`` when it is absent.
+
+    The engine wrote the file, so one that does not parse, or that ``build``
+    rejects, is damaged state: :class:`IntegrityViolationError` naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        return default
+    except ValueError as exc:
+        raise IntegrityViolationError(f"{path}: not JSON: {exc}") from None
+    try:
+        return build(doc)
+    except (KeyError, TypeError, AttributeError, ValueError, InvalidTupleError) as exc:
+        raise IntegrityViolationError(f"{path}: malformed: {type(exc).__name__}: {exc}") from None

@@ -446,3 +446,76 @@ def test_main_parses_like_the_full_parser(argv, capsys):
     want = capsys.readouterr()
     assert (code, got.out, got.err) == (exc.value.code, want.out, want.err)
 
+
+
+ONE_STEP = {
+    "steps": [{"name": "s", "command": "printf done > {output:out}", "inputs": {}, "outputs": ["out"]}],
+    "outcomes": [{"step": "s", "slot": "out"}],
+}
+
+
+@pytest.fixture
+def one_step(ws, capsys):
+    """``ws`` with main pins seeded and a one-step flow; returns (repo root, flow run argv)."""
+    root, repo_args = ws
+    pins = ["--pin", "code=c1", "--pin", "data=x1", "--pin", "dependencies=d1", "--pin", "deployment=y1"]
+    assert main(["init", *pins, *repo_args]) == 0
+    manifest = root / "flow.json"
+    manifest.write_text(json.dumps(ONE_STEP))
+    capsys.readouterr()
+    return root / ".ca", ["flow", "run", str(manifest), "--json", *repo_args]
+
+
+def test_lost_run_counter_never_hands_out_a_recorded_id(one_step, capsys):
+    repo, flow_run = one_step
+    assert main(flow_run) == 0
+    first = read_json(capsys)["run_id"]
+    (repo / "counters.json").unlink()
+    assert main(flow_run) == 0
+    second = read_json(capsys)["run_id"]
+    assert second == first[:-6] + "000002"
+    assert (repo / "runs" / f"{first}.json").exists() and (repo / "runs" / f"{second}.json").exists()
+
+
+def _drop_tuple(text):
+    doc = json.loads(text)
+    del doc["tuple"]
+    return json.dumps(doc)
+
+
+# Counters are a flat object, so their missing-field case is a counter that
+# is not an integer.
+DAMAGED_STATE = [
+    ("counters", "garbled", lambda text: '{"abc": '),
+    ("counters", "missing-field", lambda text: '{"abc": null}'),
+    ("counters", "wrong-type", lambda text: "[]"),
+    ("pins", "garbled", lambda text: text[: len(text) // 2]),
+    ("pins", "missing-field", lambda text: '{"main": {"branch": "main"}}'),
+    ("pins", "wrong-type", lambda text: "[]"),
+    ("run-show", "garbled", lambda text: text[: len(text) // 2]),
+    ("run-show", "missing-field", _drop_tuple),
+    ("run-show", "wrong-type", lambda text: "[]"),
+    ("run-ls", "garbled", lambda text: text[: len(text) // 2]),
+    ("run-ls", "missing-field", _drop_tuple),
+    ("run-ls", "wrong-type", lambda text: "[]"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, damage", [(t, d) for t, _, d in DAMAGED_STATE], ids=[f"{t}-{name}" for t, name, _ in DAMAGED_STATE]
+)
+def test_damaged_engine_state_exits_3_naming_the_file(target, damage, one_step, capsys):
+    repo, flow_run = one_step
+    assert main(flow_run) == 0
+    run_id = read_json(capsys)["run_id"]
+    repo_args = ["--repo", str(repo)]
+    path, argv = {
+        "counters": (repo / "counters.json", flow_run),
+        "pins": (repo / "pins.json", flow_run),
+        "run-show": (repo / "runs" / f"{run_id}.json", ["run", "show", run_id, *repo_args]),
+        "run-ls": (repo / "runs" / f"{run_id}.json", ["run", "ls", *repo_args]),
+    }[target]
+    path.write_text(damage(path.read_text()))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "integrity-violation" in err and str(path) in err

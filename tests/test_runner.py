@@ -18,6 +18,7 @@ from ca_engine.errors import (
     StorageError,
     UnresolvedInputError,
 )
+from ca_engine.feedback import load_bundle
 from ca_engine.flow import DataScope, RecordingExecutor, execute, parse_manifest, scripted
 from ca_engine.flow.executors import ScriptedResult
 from ca_engine.store import ArtifactKind
@@ -549,3 +550,107 @@ def test_tasks_are_isolated_from_each_other_and_the_store(store, run_store):
     assert record.status == "succeeded"
     assert store.verify(blob)
     assert store.get(record.result_ids[0]) == b"".join(fan_line(i, data) for i in range(4))
+
+
+def test_task_plan_is_pinned(repo, store, run_store):
+    pinned = store.put(ArtifactKind.DATA, b"pinned rows\n")
+    aux = store.put(ArtifactKind.CODE, b"prep config\n")
+    manifest = {
+        "steps": [
+            {
+                "name": "prep",
+                "command": "prep {input:raw} {input:aux} {input:__data_manifest} {output:out}",
+                "inputs": {"raw": {"pin": "data"}, "aux": {"artifact": str(aux)}},
+                "outputs": ["out"],
+            },
+            {
+                "name": "split",
+                "command": "split {input:feed} {output:left} {output:right} {partition}",
+                "inputs": {"feed": {"step": "prep", "slot": "out"}},
+                "outputs": ["left", "right"],
+                "partition": {"count": 2, "merge_command": "join {partitions:left} {partitions:right} {output:both}"},
+            },
+            {
+                "name": "report",
+                "command": "report {input:both} {output:metrics}",
+                "inputs": {"both": {"step": "split", "slot": "both"}},
+                "outputs": ["metrics"],
+            },
+        ],
+        "outcomes": [{"step": "split", "slot": "both"}, {"step": "report", "slot": "metrics"}],
+        "metrics_output": {"step": "report", "slot": "metrics"},
+    }
+    graph = parse_manifest(json.dumps(manifest))
+
+    def default(*, command, inputs, outputs, env, workdir):
+        return ScriptedResult({slot: f"{workdir.name}:{slot}".encode() for slot in outputs}, 0, b"")
+
+    executor = RecordingExecutor({"report": scripted({"metrics": '{"score": 1}'})}, default=default)
+    record = execute(
+        graph, baseline_tuple(data_content=pinned.hash), executor, kind="validation",
+        store=store, run_store=run_store, data_scope=DataScope.subset(("i1", "i2")),
+    )
+    assert record.status == "succeeded"
+    root = str((repo.tmp_dir / record.run_id).resolve())
+    manifest_source = "artifact:data:f72e6cd0df492730e76d13461e49023518852d5b8a66f390e4664c5a1462b4af"
+    assert [
+        (
+            o.step,
+            o.partition_index,
+            o.command_rendered.replace(root, "<root>"),
+            o.input_sources,
+            {slot: artifact_id.kind.value for slot, artifact_id in o.output_ids.items()},
+        )
+        for o in record.step_outcomes
+    ] == [
+        (
+            "prep",
+            None,
+            "prep <root>/prep/inputs/raw <root>/prep/inputs/aux <root>/prep/inputs/data_manifest.json "
+            "<root>/prep/outputs/out",
+            {
+                "aux": "artifact:code:3febfb1a201bf3a27e566bf5bb6153b77cea27dfd0ea0db2b2f11845c5b4f6e3",
+                "raw": "pin:data",
+                "__data_manifest": manifest_source,
+            },
+            {"out": "data"},
+        ),
+        (
+            "split",
+            0,
+            "split <root>/split.p0/inputs/feed <root>/split.p0/outputs/left <root>/split.p0/outputs/right 0",
+            {"feed": "step:prep:out", "__data_manifest": manifest_source},
+            {"left": "data", "right": "data"},
+        ),
+        (
+            "split",
+            1,
+            "split <root>/split.p1/inputs/feed <root>/split.p1/outputs/left <root>/split.p1/outputs/right 1",
+            {"feed": "step:prep:out", "__data_manifest": manifest_source},
+            {"left": "data", "right": "data"},
+        ),
+        (
+            "split",
+            None,
+            "join <root>/split.merge/inputs/left.000 <root>/split.merge/inputs/left.001 "
+            "<root>/split.merge/inputs/right.000 <root>/split.merge/inputs/right.001 "
+            "<root>/split.merge/outputs/both",
+            {
+                "left.000": "step:split:left[0]",
+                "left.001": "step:split:left[1]",
+                "right.000": "step:split:right[0]",
+                "right.001": "step:split:right[1]",
+            },
+            {"both": "result"},
+        ),
+        (
+            "report",
+            None,
+            "report <root>/report/inputs/both <root>/report/outputs/metrics",
+            {"both": "step:split:both", "__data_manifest": manifest_source},
+            {"metrics": "result"},
+        ),
+    ]
+    merge, report = record.step_outcomes[3], record.step_outcomes[4]
+    assert record.result_ids == [merge.output_ids["both"], report.output_ids["metrics"]]
+    assert load_bundle(record, store=store).metrics == {"score": 1.0}
