@@ -9,10 +9,19 @@ the upstream tasks it still waits for, and it starts when its last upstream
 task succeeds; tasks that become ready together are submitted in key order,
 and up to the parallelism limit run at once. A failed task never releases
 its dependents, so they never start, while independent tasks keep running
-and a failed run still yields maximal feedback. Every executed task stores
-its log, environment snapshot, and outputs as artifacts and contributes a
-step outcome to the run record, in plan order; the record is written once,
-after the run's feedback bundle is stored.
+and a failed run still yields maximal feedback. Every executed task removes
+its own workdir as soon as its executor returns, stages its log,
+environment snapshot, and outputs in the run's write batch, whose ids its
+dependents can use at once, and contributes a step outcome to the run
+record, in plan order. Once every task has finished, one commit makes the
+staged objects durable and indexes them under a single write lock; then the
+run's feedback bundle is stored, the record is written once, and lineage is
+appended. A task that raises aborts the run before the commit, so nothing
+it or its siblings staged is indexed.
+
+Each input is hashed once per run: content hashes the caller already
+verified in this run and bytes the batch hashed when staging them are
+trusted, and any other id is verified by the first task that needs it.
 """
 
 from __future__ import annotations
@@ -25,11 +34,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..errors import FlowValidationError, MalformedMetricsError, UnresolvedInputError
 from ..feedback import collect
-from ..store import ArtifactId, ArtifactKind, ArtifactStore
+from ..store import ArtifactId, ArtifactKind, ArtifactStore, WriteBatch
 from ..tuples import ArtifactVersionTuple, RunRecord, RunStore, StepOutcome
 from ..util import canonical_json, utc_now_iso
 from .executors import StepExecutor
@@ -144,9 +153,10 @@ def _plan(
 
 
 class _RunContext:
-    def __init__(self, executor, store, workdir_root, env):
+    def __init__(self, executor, store, batch, workdir_root, env, verified):
         self.executor = executor
         self.store = store
+        self.batch = batch
         self.workdir_root = workdir_root
         self.env = env
         self.lock = threading.Lock()
@@ -154,9 +164,9 @@ class _RunContext:
         # its producers finished, so it reads its inputs here without the lock.
         self.outputs: dict[tuple[str, str], ArtifactId] = {}
         self.outcomes: dict[str, StepOutcome] = {}
-        # Per run, never per store: the next run must verify again.
-        self.verify_locks: dict[ArtifactId, threading.Lock] = {}
-        self.verified: set[ArtifactId] = set()
+        # Content hashes, per run and never per store: the next run must verify again.
+        self.verify_locks: dict[str, threading.Lock] = {}
+        self.verified: set[str] = set(verified)
 
 
 def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: ArtifactStore) -> dict[InputRef, ArtifactId]:
@@ -182,17 +192,21 @@ def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: Artif
 def _materialize(ctx: _RunContext, artifact_id: ArtifactId, path: Path) -> None:
     """Give a task its own copy of an artifact, hash-verified once per run.
 
-    The first task that needs an id verifies it under that id's lock; later
-    ones wait for that check instead of hashing again, and no task gets a
-    copy of an id that has not passed it. Each copy is a file of its own, so
-    a step that writes to its inputs reaches neither the store nor a sibling.
+    Bytes the caller verified or the batch wrote in this run are not hashed
+    again. Otherwise the first task that needs a hash verifies it under that
+    hash's lock; later ones wait for that check instead of hashing again, and
+    no task gets a copy of bytes that have not passed it. Each copy is a file
+    of its own, so a step that writes to its inputs reaches neither the store
+    nor a sibling.
     """
-    with ctx.lock:
-        id_lock = ctx.verify_locks.setdefault(artifact_id, threading.Lock())
-    with id_lock:
-        if artifact_id not in ctx.verified:
-            ctx.store.check(artifact_id)
-            ctx.verified.add(artifact_id)
+    digest = artifact_id.hash
+    if digest not in ctx.batch.written:
+        with ctx.lock:
+            hash_lock = ctx.verify_locks.setdefault(digest, threading.Lock())
+        with hash_lock:
+            if digest not in ctx.verified:
+                ctx.store.check(artifact_id)
+                ctx.verified.add(digest)
     ctx.store.copy_to(artifact_id, path)
 
 
@@ -200,38 +214,42 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
     workdir = ctx.workdir_root / task.key
     inputs_dir = workdir / "inputs"
     outputs_dir = workdir / "outputs"
-    inputs_dir.mkdir(parents=True)
-    outputs_dir.mkdir(parents=True)
+    # The executor returns the outputs' bytes, so the workdir goes as soon as it returns.
+    try:
+        inputs_dir.mkdir(parents=True)
+        outputs_dir.mkdir(parents=True)
 
-    input_paths: dict[str, Path] = {}
-    substitution: dict[str, list[str]] = {}
-    for item in task.inputs:
-        path = inputs_dir / item.file
-        source = item.source if isinstance(item.source, ArtifactId) else ctx.outputs[item.source]
-        _materialize(ctx, source, path)
-        input_paths[item.key] = path
-        substitution.setdefault(item.placeholder, []).append(str(path))
-    declared_outputs = {slot: outputs_dir / slot for slot in task.outputs}
-    for slot, path in declared_outputs.items():
-        substitution[f"{{output:{slot}}}"] = [str(path)]
-    if task.partition_index is not None:
-        substitution["{partition}"] = [str(task.partition_index)]
+        input_paths: dict[str, Path] = {}
+        substitution: dict[str, list[str]] = {}
+        for item in task.inputs:
+            path = inputs_dir / item.file
+            source = item.source if isinstance(item.source, ArtifactId) else ctx.outputs[item.source]
+            _materialize(ctx, source, path)
+            input_paths[item.key] = path
+            substitution.setdefault(item.placeholder, []).append(str(path))
+        declared_outputs = {slot: outputs_dir / slot for slot in task.outputs}
+        for slot, path in declared_outputs.items():
+            substitution[f"{{output:{slot}}}"] = [str(path)]
+        if task.partition_index is not None:
+            substitution["{partition}"] = [str(task.partition_index)]
 
-    rendered = TOKEN_RE.sub(lambda match: " ".join(substitution[match.group(0)]), task.command)
-    started = time.monotonic()
-    result = ctx.executor.run(
-        rendered, inputs=input_paths, outputs=declared_outputs, env=ctx.env, workdir=workdir
-    )
+        rendered = TOKEN_RE.sub(lambda match: " ".join(substitution[match.group(0)]), task.command)
+        started = time.monotonic()
+        result = ctx.executor.run(
+            rendered, inputs=input_paths, outputs=declared_outputs, env=ctx.env, workdir=workdir
+        )
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
     wall_time_ms = int((time.monotonic() - started) * 1000)
 
-    log_id = ctx.store.put(ArtifactKind.RESULT, result.log, "text/plain")
-    env_id = ctx.store.put(ArtifactKind.RESULT, result.env_snapshot, "text/plain")
+    log_id = ctx.batch.put(ArtifactKind.RESULT, result.log, "text/plain")
+    env_id = ctx.batch.put(ArtifactKind.RESULT, result.env_snapshot, "text/plain")
 
     output_ids: dict[str, ArtifactId] = {}
     if result.exit_code == 0:
         for slot in task.outputs:
             kind = ArtifactKind.RESULT if slot in task.results else ArtifactKind.DATA
-            output_ids[slot] = ctx.store.put(kind, result.outputs[slot])
+            output_ids[slot] = ctx.batch.put(kind, result.outputs[slot])
 
     outcome = StepOutcome(
         step=task.step,
@@ -264,10 +282,14 @@ def execute(
     branch: str = "main",
     labels: Mapping[str, str] | None = None,
     parallelism: int = 4,
+    verified: Iterable[str] = (),
 ) -> RunRecord:
     """Execute a validated flow against a version tuple and finish the run.
 
-    Finishing stores the feedback bundle, with the metrics parsed from
+    ``verified`` holds content hashes whose stored bytes the caller hashed in
+    this run; inputs with those hashes are copied without hashing them again.
+    Once the tasks finish, the artifacts they staged are committed. Finishing
+    then stores the feedback bundle, with the metrics parsed from
     ``graph.metrics_output``, writes the run record once with its feedback
     reference, and then appends the run's lineage edges to ``lineage`` when
     one is given. The record goes first because the repository lock is not
@@ -284,11 +306,12 @@ def execute(
     order = topo_order(graph)
 
     externals = _resolve_externals(graph, avt, store)
+    batch = WriteBatch(store)
 
     manifest_id = None
     if data_scope.manifest_ids is not None:
         manifest_blob = (canonical_json(list(data_scope.manifest_ids)) + "\n").encode("utf-8")
-        manifest_id = store.put(ArtifactKind.DATA, manifest_blob, "application/json")
+        manifest_id = batch.put(ArtifactKind.DATA, manifest_blob, "application/json")
     else:
         needs_manifest = [
             step.name
@@ -311,7 +334,7 @@ def execute(
     workdir_root.mkdir(parents=True, exist_ok=True)
 
     env = {name: os.environ[name] for name in graph.env_whitelist if name in os.environ}
-    ctx = _RunContext(executor, store, workdir_root, env)
+    ctx = _RunContext(executor, store, batch, workdir_root, env, verified)
 
     waiting = {key: len(task.deps) for key, task in tasks.items()}
     dependents: dict[str, list[str]] = {key: [] for key in tasks}
@@ -342,6 +365,7 @@ def execute(
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         shutil.rmtree(workdir_root, ignore_errors=True)
+    batch.commit()
 
     outcomes = [ctx.outcomes[key] for key in tasks if key in ctx.outcomes]
     succeeded = len(outcomes) == len(tasks) and all(o.exit_code == 0 for o in outcomes)

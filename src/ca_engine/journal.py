@@ -21,7 +21,7 @@ import threading
 from pathlib import Path
 from typing import Callable, Hashable, Iterable
 
-from .errors import IntegrityViolationError
+from .errors import IntegrityViolationError, InvalidTupleError
 from .util import append_line, canonical_json
 
 _DECODER = json.JSONDecoder()
@@ -125,7 +125,7 @@ class Journal:
             pos = newline + 1
             try:
                 self._insert(self._key(row), row)
-            except (KeyError, TypeError, ValueError) as exc:  # TypeError: an unhashable key
+            except (KeyError, TypeError, AttributeError, ValueError, InvalidTupleError) as exc:
                 raise self._corrupt(line, f"bad row ({exc!r})") from None
         self._lines = line
 
@@ -148,9 +148,8 @@ class Journal:
         text = "\n".join(canonical_json(row) for _, row in keyed)
         with self._lock:
             self._catch_up()
-            if self._seen > self._offset:
-                os.truncate(self.path, self._offset)
-            append_line(self.path, text)
+            torn = self._seen > self._offset
+            append_line(self.path, text, truncate_to=self._offset if torn else None)
             # Under the write lock the file now ends with exactly these rows,
             # so index them without reading them back.
             for key, row in keyed:

@@ -186,6 +186,8 @@ def replay_check(
     """
     original = run_store.load(run_id)
 
+    # The run reuses these checks rather than hashing each input again.
+    verified: set[str] = set()
     for pin in original.tuple:
         if pin.content is None:
             continue
@@ -194,11 +196,13 @@ def replay_check(
             raise MissingInputError(f"pinned input {pin.component} ({pin.content}) is gone from the store")
         if not store.verify(records[0].id):
             raise MissingInputError(f"pinned input {pin.component} ({pin.content}) fails verification")
+        verified.add(pin.content)
     for step in graph.steps:
         for ref in step.inputs.values():
             if isinstance(ref, ArtifactInput):
                 if not store.has(ref.id) or not store.verify(ref.id):
                     raise MissingInputError(f"input artifact {ref.id} is missing or corrupt")
+                verified.add(ref.id.hash)
 
     scope_info = original.data_scope or {"kind": "full", "manifest": None}
     manifest_ids = None
@@ -218,6 +222,7 @@ def replay_check(
         branch=original.branch,
         labels={"replay-of": run_id},
         parallelism=parallelism,
+        verified=verified,
     )
 
     old_outputs = _output_map(original)

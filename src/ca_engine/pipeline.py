@@ -149,6 +149,26 @@ class ValidationPlan:
         )
 
 
+def _event_key(row: dict) -> str:
+    """An ``events.jsonl`` row's event id; the row must carry a plan that parses."""
+    ValidationPlan.from_dict(row["plan"])
+    return row["event_id"]
+
+
+_PROMOTION_FIELDS = {
+    "decision": ("run_id", "approver", "decision", "reason", "at"),
+    "release": ("run_id", "release_run_id"),
+}
+
+
+def _promotion_key(row: dict) -> tuple[str, str]:
+    """A ``promotions.jsonl`` row's (type, run id); its type's fields must be strings."""
+    for name in _PROMOTION_FIELDS[row["type"]]:
+        if not isinstance(row[name], str):
+            raise TypeError(f"{name} must be a string")
+    return row["type"], row["run_id"]
+
+
 def resolve_tuple(event: ChangeEvent, current: BranchPins) -> ArtifactVersionTuple:
     """Current pins with only the event's component replaced by its new pin."""
     if not current.complete():
@@ -205,8 +225,8 @@ class Pipeline:
         self.subset_seed = subset_seed
         self.parallelism = parallelism
         # events.jsonl: one ChangeEvent per line, with the plan resolved at first ingest.
-        self._events = Journal(repo.events_path, key=lambda row: row["event_id"])
-        self._promotions = Journal(repo.promotions_path, key=lambda row: (row["type"], row["run_id"]))
+        self._events = Journal(repo.events_path, key=_event_key)
+        self._promotions = Journal(repo.promotions_path, key=_promotion_key)
 
     # -- branch pins -----------------------------------------------------------
 
@@ -279,29 +299,42 @@ class Pipeline:
 
     # -- data scope ---------------------------------------------------------
 
-    def _dataset_manifest(self, avt: ArtifactVersionTuple) -> list[str] | None:
-        """Item ids from the data pin's content artifact, when it is a JSON array."""
-        pin = avt.find("data")
-        if pin is None or pin.content is None or not self.store.has_hash(pin.content):
+    def _dataset_manifest(self, digest: str) -> list[str] | None:
+        """Item ids from the data pin's content, when it is a JSON array of strings.
+
+        The content is verified in one streamed pass and kept in memory only
+        when it starts like an array.
+        """
+        raw = self.store.get_by_hash(digest, lead=b"[")
+        if raw is None:
             return None
         try:
-            doc = json.loads(self.store.get_by_hash(pin.content).decode("utf-8"))
+            doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
         if isinstance(doc, list) and all(isinstance(item, str) for item in doc):
             return doc
         return None
 
-    def _data_scope(self, avt: ArtifactVersionTuple, *, subset: bool) -> DataScope:
-        """All items of the data pin's manifest, or their deterministic subset."""
-        manifest = self._dataset_manifest(avt)
+    def _data_scope(self, avt: ArtifactVersionTuple, *, subset: bool) -> tuple[DataScope, tuple[str, ...]]:
+        """All items of the data pin's manifest, or their deterministic subset.
+
+        Also returns the content hashes verified on the way, so the run does
+        not hash them again.
+        """
+        pin = avt.find("data")
+        if pin is None or pin.content is None or not self.store.has_hash(pin.content):
+            return DataScope.full(), ()
+        verified = (pin.content,)
+        manifest = self._dataset_manifest(pin.content)
         if manifest is None:
-            return DataScope.full()
+            return DataScope.full(), verified
         if subset:
-            return DataScope.subset(tuple(subset_select(manifest, self.subset_fraction, self.subset_seed)))
-        return DataScope.full(tuple(manifest))
+            return DataScope.subset(tuple(subset_select(manifest, self.subset_fraction, self.subset_seed))), verified
+        return DataScope.full(tuple(manifest)), verified
 
     def _run(self, plan_tuple, graph, executor, *, kind, subset, branch, labels) -> RunRecord:
+        data_scope, verified = self._data_scope(plan_tuple, subset=subset)
         return execute(
             graph,
             plan_tuple,
@@ -310,10 +343,11 @@ class Pipeline:
             store=self.store,
             run_store=self.run_store,
             lineage=self.lineage,
-            data_scope=self._data_scope(plan_tuple, subset=subset),
+            data_scope=data_scope,
             branch=branch,
             labels=labels,
             parallelism=self.parallelism,
+            verified=verified,
         )
 
     def run_direct(self, graph: FlowGraph, executor, *, branch: str = MAIN_BRANCH) -> RunRecord:

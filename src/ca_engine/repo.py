@@ -15,6 +15,7 @@ Readers never take the lock.
 from __future__ import annotations
 
 import fcntl
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -136,11 +137,16 @@ class Repository:
         deadline = None if timeout is None else time.monotonic() + timeout
         if not self._mutex.acquire(timeout=-1 if deadline is None else max(timeout, 0)):
             raise LockHeldError(f"write lock on {self.root} held by another thread")
-        fh = open(self.lock_path, "a+")
+        try:
+            # flock needs no write access; the file holds no data.
+            fd = os.open(self.lock_path, os.O_RDONLY | os.O_CREAT, 0o644)
+        except BaseException:
+            self._mutex.release()
+            raise
         try:
             while True:
                 try:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                     break
                 except OSError:
                     if deadline is not None and time.monotonic() >= deadline:
@@ -149,9 +155,9 @@ class Repository:
             yield
         finally:
             try:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+                fcntl.flock(fd, fcntl.LOCK_UN)
             finally:
-                fh.close()
+                os.close(fd)
                 self._mutex.release()
 
     # -- config ------------------------------------------------------------

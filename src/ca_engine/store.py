@@ -5,6 +5,11 @@ their bytes; ``index.jsonl`` holds one record per (kind, hash). An artifact's
 identity is the pair of its kind and content hash, so identical bytes stored
 under two kinds are two artifacts sharing one blob. Records are never
 mutated: labels are fixed at put time and re-puts are no-ops.
+
+An index row is the commit point of an artifact. Object files are written
+through a temp file and a rename and made durable before their rows are
+appended, so an object file whose hash has no index row is not part of the
+store: writes replace it rather than trust it.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import re
 import shutil
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +28,7 @@ from .errors import IntegrityViolationError, NotFoundError, StorageError
 from .journal import Journal
 from .repo import Repository
 from .util import append_line  # noqa: F401  (the benchmark's tracer patches this binding)
-from .util import atomic_write_bytes, utc_now_iso
+from .util import atomic_write_bytes, fsync_file, utc_now_iso
 
 HEX64_RE = re.compile(r"[0-9a-f]{64}")
 _CHUNK = 1 << 20
@@ -145,23 +151,9 @@ class ArtifactStore:
         labels: Mapping[str, str] | None = None,
     ) -> ArtifactId:
         """Store a blob under its content hash. Idempotent per (kind, bytes)."""
-        labels = dict(labels or {})
-        for key in labels:
-            if not key:
-                raise ValueError("label keys must be nonempty")
-        digest = sha256_hex(data)
-        artifact_id = ArtifactId(kind, digest)
-        with self._repo.write_lock():
-            if self._index.get((kind.value, digest)) is not None:
-                return artifact_id
-            try:
-                obj = self.object_path(digest)
-                if not obj.exists():
-                    atomic_write_bytes(obj, data)
-                record = ArtifactRecord(artifact_id, len(data), media_type, utc_now_iso(), labels)
-                self._index.append([record.to_dict()])
-            except OSError as exc:
-                raise StorageError(f"failed to store {artifact_id}: {exc}") from exc
+        batch = WriteBatch(self)
+        artifact_id = batch.put(kind, data, media_type, labels)
+        batch.commit()
         return artifact_id
 
     def get(self, artifact_id: ArtifactId) -> bytes:
@@ -173,8 +165,14 @@ class ArtifactStore:
         return data
 
     def check(self, artifact_id: ArtifactId) -> None:
-        """Raise as :meth:`get` would, without holding the blob in memory."""
-        self._lookup(artifact_id)
+        """Raise as :meth:`get` would, without holding the blob in memory.
+
+        Every kind shares the object file, so the id passes once any kind
+        indexes its hash: an id a :class:`WriteBatch` has staged but not yet
+        committed can be checked too.
+        """
+        if not self.has_hash(artifact_id.hash):
+            raise NotFoundError(f"artifact {artifact_id} not in index")
         if self._object_digest(artifact_id.hash) != artifact_id.hash:
             raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
 
@@ -201,12 +199,24 @@ class ArtifactStore:
         with self._object_errors(digest):
             return self.object_path(digest).read_bytes()
 
-    def _object_digest(self, digest: str) -> str:
-        """SHA-256 of an object file, read in fixed-size chunks."""
+    def _object_digest(self, digest: str, kept: list[bytes] | None = None, lead: bytes | None = None) -> str:
+        """SHA-256 of an object file, read in fixed-size chunks.
+
+        Chunks are appended to ``kept`` when one is given. With ``lead``, they
+        are kept only while no byte but whitespace has been read or the first
+        other byte is ``lead``, so bytes that cannot match are not held.
+        """
         hasher = hashlib.sha256()
         with self._object_errors(digest), open(self.object_path(digest), "rb") as fh:
             while chunk := fh.read(_CHUNK):
                 hasher.update(chunk)
+                if kept is not None:
+                    kept.append(chunk)
+                    if lead is not None and chunk.strip():
+                        if chunk.lstrip()[:1] != lead:
+                            kept.clear()
+                            kept = None
+                        lead = None
         return hasher.hexdigest()
 
     def verify(self, artifact_id: ArtifactId) -> bool:
@@ -255,13 +265,88 @@ class ArtifactStore:
     def has_hash(self, digest: str) -> bool:
         return bool(self._index.group(digest))
 
-    def get_by_hash(self, digest: str) -> bytes:
+    def get_by_hash(self, digest: str, lead: bytes | None = None) -> bytes | None:
+        """The blob with this hash, verified in one streamed pass.
+
+        With ``lead``, a blob whose first byte other than whitespace is not
+        ``lead`` is verified but not kept, and None is returned.
+        """
         if not self.has_hash(digest):
             raise NotFoundError(f"no artifact with hash {digest}")
-        data = self._read_object(digest)
-        if sha256_hex(data) != digest:
+        kept: list[bytes] = []
+        if self._object_digest(digest, kept, lead) != digest:
             raise IntegrityViolationError(f"stored bytes of {digest} no longer match digest")
-        return data
+        if lead is not None and not kept:
+            return None
+        return b"".join(kept)
 
     def object_count(self) -> int:
         return sum(1 for _ in self._repo.objects_dir.glob("*/*"))
+
+
+class WriteBatch:
+    """Artifacts staged into a store and indexed together by one :meth:`commit`.
+
+    :meth:`put` hashes the bytes in memory and returns their id at once.
+    Unless some kind already indexes that hash, it writes the object file
+    through a temp file and a rename, with no fsync and no repository lock;
+    a file already there without an index row is replaced, never trusted.
+    :meth:`commit` takes the write lock once, fsyncs each object file the
+    batch wrote, and appends every index row still missing with one
+    :meth:`Journal.append`. Until then no staged id is in the store. Safe to
+    share between threads.
+    """
+
+    def __init__(self, store: ArtifactStore):
+        self._store = store
+        self._lock = threading.Lock()
+        self._records: dict[tuple[str, str], ArtifactRecord] = {}
+        self._file_locks: dict[str, threading.Lock] = {}
+        # Digests whose object file this batch wrote from bytes it hashed.
+        self.written: set[str] = set()
+
+    def put(
+        self,
+        kind: ArtifactKind,
+        data: bytes,
+        media_type: str = "application/octet-stream",
+        labels: Mapping[str, str] | None = None,
+    ) -> ArtifactId:
+        """Stage a blob under its content hash; idempotent per (kind, bytes)."""
+        labels = dict(labels or {})
+        if not all(labels):
+            raise ValueError("label keys must be nonempty")
+        store = self._store
+        digest = sha256_hex(data)
+        artifact_id = ArtifactId(kind, digest)
+        key = (kind.value, digest)
+        if store._index.get(key) is not None:
+            return artifact_id
+        with self._lock:
+            self._records.setdefault(key, ArtifactRecord(artifact_id, len(data), media_type, utc_now_iso(), labels))
+            file_lock = self._file_locks.setdefault(digest, threading.Lock())
+        # Held while writing, so a second put of these bytes returns only once the file is in place.
+        with file_lock:
+            if digest not in self.written and not store.has_hash(digest):
+                try:
+                    atomic_write_bytes(store.object_path(digest), data, durable=False)
+                except OSError as exc:
+                    raise StorageError(f"failed to store {artifact_id}: {exc}") from exc
+                self.written.add(digest)
+        return artifact_id
+
+    def commit(self) -> None:
+        """Make the staged objects durable, then index them; a no-op when nothing is staged."""
+        if not self._records:
+            return
+        store = self._store
+        with store._repo.write_lock():
+            try:
+                for digest in sorted(self.written):
+                    fsync_file(store.object_path(digest))
+                # Another writer may have indexed some of them since they were staged.
+                rows = [record.to_dict() for key, record in self._records.items() if store._index.get(key) is None]
+                store._index.append(rows)
+            except OSError as exc:
+                raise StorageError(f"failed to commit {len(self._records)} artifacts: {exc}") from exc
+        self._records.clear()

@@ -24,15 +24,20 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a temp file in the same directory plus rename; never partial."""
+def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None:
+    """Write via a temp file in the same directory plus rename; never partial.
+
+    ``durable=False`` skips the fsync: the caller must :func:`fsync_file` the
+    path before anything durable refers to it.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -40,6 +45,15 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def fsync_file(path: Path) -> None:
+    """Flush a file written with ``durable=False`` to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -50,11 +64,14 @@ def atomic_write_json(path: Path, obj: Any) -> None:
     atomic_write_text(path, canonical_json(obj) + "\n")
 
 
-def append_line(path: Path, line: str) -> None:
+def append_line(path: Path, line: str, truncate_to: int | None = None) -> None:
     """Durable append of ``line`` plus a newline: one write, one fsync.
 
     ``line`` may hold several newline-joined rows, which then share the fsync.
+    With ``truncate_to``, the file is first cut to that many bytes.
     """
+    if truncate_to is not None:
+        os.truncate(path, truncate_to)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
         fh.flush()

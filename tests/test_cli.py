@@ -519,3 +519,41 @@ def test_damaged_engine_state_exits_3_naming_the_file(target, damage, one_step, 
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "integrity-violation" in err and str(path) in err
+
+
+def _drop_field(path, row_type, field):
+    """Remove ``field`` from the journal rows whose ``type`` (or, with None, any row) matches."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        if row_type is None or row.get("type") == row_type:
+            row.pop(field, None)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("journal, row_type, field, line", [
+    ("events.jsonl", None, "plan", 1),
+    ("promotions.jsonl", "decision", "approver", 1),
+    ("promotions.jsonl", "release", "release_run_id", 2),
+])
+def test_journal_row_missing_a_field_exits_3_naming_the_file(journal, row_type, field, line, one_step, capsys):
+    repo, flow_run = one_step
+    repo_args = ["--repo", str(repo)]
+    emit = ["event", "emit", "--source", "code", "--ref", "main", "--version", "c2", "--id", "e1", *repo_args]
+    assert main(emit) == 0
+    capsys.readouterr()
+    assert main([*flow_run, "--event", "e1"]) == 0
+    run_id = read_json(capsys)["run_id"]
+    flow = flow_run[2]
+    argv = [*flow_run, "--event", "e1"]
+    if journal == "promotions.jsonl":
+        assert main(["approve", run_id, "--by", "alice", *repo_args]) == 0
+        argv = ["approve", run_id, "--by", "alice", *repo_args]
+    if row_type == "release":
+        assert main(["release", run_id, "--flow", flow, *repo_args]) == 0
+        argv = ["release", run_id, "--flow", flow, *repo_args]
+    capsys.readouterr()
+    path = repo / journal
+    _drop_field(path, row_type, field)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "integrity-violation" in err and f"{path}: line {line}:" in err

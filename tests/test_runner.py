@@ -3,8 +3,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
 import sys
+import threading
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 import ca_engine.store as store_mod
 from ca_engine.cli import main
 from ca_engine.errors import (
+    ExecutorFailureError,
     FlowValidationError,
     IntegrityViolationError,
     MissingOutputError,
@@ -20,9 +24,11 @@ from ca_engine.errors import (
 )
 from ca_engine.feedback import load_bundle
 from ca_engine.flow import DataScope, RecordingExecutor, execute, parse_manifest, scripted
-from ca_engine.flow.executors import ScriptedResult
-from ca_engine.store import ArtifactKind
-from helpers import GatedCompletion, baseline_tuple, figure2_manifest, figure2_scripts
+from ca_engine.flow.executors import ScriptedResult, StepExecutor
+from ca_engine.lineage import replay_check
+from ca_engine.repo import Repository
+from ca_engine.store import ArtifactKind, sha256_hex
+from helpers import GatedCompletion, baseline_tuple, figure2_manifest, figure2_scripts, journal_rows
 
 @pytest.fixture
 def figure2(store):
@@ -654,3 +660,144 @@ def test_task_plan_is_pinned(repo, store, run_store):
     merge, report = record.step_outcomes[3], record.step_outcomes[4]
     assert record.result_ids == [merge.output_ids["both"], report.output_ids["metrics"]]
     assert load_bundle(record, store=store).metrics == {"score": 1.0}
+
+
+class Watched(StepExecutor):
+    """Wraps an executor, tracking how many of its calls are in progress."""
+
+    def __init__(self, inner, on_run=None):
+        self.inner = inner
+        self.on_run = on_run
+        self.busy = 0
+        self._lock = threading.Lock()
+
+    def run(self, command, *, inputs, outputs, env, workdir):
+        with self._lock:
+            self.busy += 1
+        try:
+            if self.on_run is not None:
+                self.on_run(workdir)
+            return self.inner.run(command, inputs=inputs, outputs=outputs, env=env, workdir=workdir)
+        finally:
+            with self._lock:
+                self.busy -= 1
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_run_takes_the_write_lock_a_fixed_number_of_times_and_never_while_tasks_run(
+    parallelism, store, run_store, lineage_log, monkeypatch
+):
+    blob = store.put(ArtifactKind.DATA, b"shared input\n" * 64)
+    executor = Watched(fan_executor())
+    entries = []
+    during_tasks = []
+    original_lock, original_fsync = Repository.write_lock, os.fsync
+
+    @contextmanager
+    def write_lock(self, *args, **kwargs):
+        entries.append(1)
+        if executor.busy:
+            during_tasks.append("write_lock")
+        with original_lock(self, *args, **kwargs):
+            yield
+
+    def fsync(fd):
+        if executor.busy:
+            during_tasks.append("fsync")
+        return original_fsync(fd)
+
+    monkeypatch.setattr(Repository, "write_lock", write_lock)
+    monkeypatch.setattr(os, "fsync", fsync)
+    per_run = []
+    for count in (4, 16, 64):
+        graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, count)))
+        entries.clear()
+        record = execute(
+            graph, baseline_tuple(data_content=blob.hash), executor, kind="validation",
+            store=store, run_store=run_store, lineage=lineage_log, parallelism=parallelism,
+        )
+        assert record.status == "succeeded"
+        per_run.append(len(entries))
+    assert per_run[0] <= 6 and per_run == [per_run[0]] * 3
+    assert during_tasks == []
+
+
+@pytest.mark.parametrize("content", ["binary", "item-manifest"])
+def test_a_direct_run_hashes_the_data_pin_once(content, store, pipeline, monkeypatch):
+    if content == "binary":
+        data = random.Random(11).randbytes(4 * 2**20)
+    else:
+        data = b"\n " + json.dumps([f"item-{i:06d}" for i in range(50_000)]).encode()
+    blob = store.put(ArtifactKind.DATA, data)
+    pipeline.set_branch_pins("main", baseline_tuple(data_content=blob.hash).pins)
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 4)))
+    tally = {}
+    monkeypatch.setattr(store_mod, "hashlib", SimpleNamespace(sha256=counting_sha256(tally)))
+    record = pipeline.run_direct(graph, fan_executor())
+    assert record.status == "succeeded"
+    assert (record.data_scope["manifest"] is not None) == (content == "item-manifest")
+    assert tally[blob.hash] == len(data)
+
+
+def test_replay_hashes_each_pin_once(store, run_store, monkeypatch):
+    data = random.Random(13).randbytes(3 * 2**20)
+    blob = store.put(ArtifactKind.DATA, data)
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 4)))
+    original = execute(
+        graph, baseline_tuple(data_content=blob.hash), fan_executor(),
+        kind="validation", store=store, run_store=run_store,
+    )
+    tally = {}
+    monkeypatch.setattr(store_mod, "hashlib", SimpleNamespace(sha256=counting_sha256(tally)))
+    replay = replay_check(original.run_id, graph, fan_executor(), store=store, run_store=run_store)
+    assert replay.identical
+    assert tally[blob.hash] == len(data)
+
+
+def test_each_task_removes_its_workdir_when_it_finishes(store, run_store):
+    blob = store.put(ArtifactKind.DATA, b"shared input\n")
+    listings = []
+    executor = Watched(fan_executor(), on_run=lambda workdir: listings.append(
+        (workdir.name, sorted(path.name for path in workdir.parent.iterdir()))
+    ))
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 4)))
+    record = execute(
+        graph, baseline_tuple(data_content=blob.hash), executor,
+        kind="validation", store=store, run_store=run_store, parallelism=1,
+    )
+    assert record.status == "succeeded"
+    assert [name for name, _ in listings] == ["fan.p0", "fan.p1", "fan.p2", "fan.p3", "fan.merge"]
+    assert all(listing == [name] for name, listing in listings)
+
+
+def test_an_aborted_run_indexes_nothing_and_the_next_run_rewrites_what_it_staged(repo, store, run_store):
+    data = b"shared input\n" * 100
+    blob = store.put(ArtifactKind.DATA, data)
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 4)))
+    avt = baseline_tuple(data_content=blob.hash)
+    rows = journal_rows(repo.index_path)
+
+    def lose_backend(**kwargs):
+        raise ExecutorFailureError("executor lost its backend")
+
+    failing = fan_executor()
+    failing.scripts["fan.p2"] = lose_backend
+    with pytest.raises(ExecutorFailureError):
+        execute(graph, avt, failing, kind="validation", store=store, run_store=run_store, parallelism=1)
+    assert {"fan.p0", "fan.p1"} <= {i.key for i in failing.invocations}
+    assert journal_rows(repo.index_path) == rows
+    assert list(repo.tmp_dir.iterdir()) == []
+    # What the two finished partitions staged is on disk but not in the store;
+    # garble it, as a crash before it reached the disk could.
+    staged = [store.object_path(sha256_hex(fan_line(i, data))) for i in (0, 1)]
+    for path in staged:
+        path.write_bytes(b"garbled")
+
+    record = execute(graph, avt, fan_executor(), kind="validation", store=store, run_store=run_store)
+    assert record.status == "succeeded"
+    assert list(repo.tmp_dir.iterdir()) == []
+    ids = [record.feedback_id, *record.result_ids]
+    for outcome in record.step_outcomes:
+        ids += [outcome.log_id, outcome.env_snapshot_id, *outcome.output_ids.values()]
+    assert all(store.verify(artifact_id) for artifact_id in ids)
+    assert store.get(record.result_ids[0]) == b"".join(fan_line(i, data) for i in range(4))

@@ -4,12 +4,18 @@ import json
 import random
 import shutil
 import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import ca_engine.store as store_mod
 from ca_engine.errors import IntegrityViolationError, LockHeldError, NotFoundError, RepoNotInitializedError
 from ca_engine.repo import Repository
-from ca_engine.store import ArtifactId, ArtifactKind, ArtifactStore, sha256_hex
+from ca_engine.store import ArtifactId, ArtifactKind, ArtifactStore, WriteBatch, sha256_hex
+from ca_engine.util import atomic_write_bytes
 from helpers import journal_rows, tear
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -216,3 +222,95 @@ def test_malformed_index_line_is_an_integrity_error(repo, store, line):
     with pytest.raises(IntegrityViolationError, match=r"index\.jsonl: line 2"):
         ArtifactStore(repo).list()
 
+
+
+def plant_orphan(store, data):
+    """Wrong bytes at ``data``'s object path with no index row, as a crash mid-write leaves."""
+    obj = store.object_path(sha256_hex(data))
+    obj.parent.mkdir(parents=True, exist_ok=True)
+    obj.write_bytes(b"torn")
+
+
+def test_put_rewrites_an_unindexed_object_file(store):
+    data = b"the bytes that belong here\n"
+    plant_orphan(store, data)
+    artifact_id = store.put(ArtifactKind.DATA, data)
+    assert store.get(artifact_id) == data
+    assert store.verify(artifact_id)
+
+
+def test_batch_stages_without_indexing_and_commits_once(repo, store, monkeypatch):
+    data = [b"log\n", b"output\n", b"log\n"]
+    plant_orphan(store, data[1])
+    batch = WriteBatch(store)
+    ids = [batch.put(ArtifactKind.RESULT, blob) for blob in data]
+    assert ids[0] == ids[2]
+    assert not any(store.has(artifact_id) for artifact_id in ids)
+    # The staged bytes are already in place, the orphan among them.
+    assert store.object_path(ids[1].hash).read_bytes() == data[1]
+
+    entered = []
+    original = Repository.write_lock
+
+    def write_lock(self, *args, **kwargs):
+        entered.append(self.root)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Repository, "write_lock", write_lock)
+    batch.commit()
+    batch.commit()  # nothing left to commit
+    assert entered == [repo.root]
+    assert [store.get(artifact_id) for artifact_id in ids] == data
+    assert [row["hash"] for row in journal_rows(repo.index_path)] == [ids[0].hash, ids[1].hash]
+
+
+def test_concurrent_puts_of_one_blob_return_only_once_its_file_is_in_place(repo, store, monkeypatch):
+    blobs = [b"first blob\n" * 1000, b"second blob\n" * 1000]
+    kinds = [ArtifactKind.DATA, ArtifactKind.RESULT]
+    workers = 16
+    start = threading.Barrier(workers)
+
+    def slow_write(path, data, **kwargs):
+        time.sleep(0.05)  # a wide window for a second put of the same bytes
+        atomic_write_bytes(path, data, **kwargs)
+
+    monkeypatch.setattr(store_mod, "atomic_write_bytes", slow_write)
+    batch = WriteBatch(store)
+
+    def stage(i):
+        blob = blobs[i % 2]
+        start.wait(timeout=30)
+        artifact_id = batch.put(kinds[i // 2 % 2], blob)
+        return store.object_path(artifact_id.hash).read_bytes() == blob
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            in_place = list(pool.map(stage, range(workers), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(in_place)
+    batch.commit()
+    indexed = [(row["kind"], row["hash"]) for row in journal_rows(repo.index_path)]
+    assert sorted(indexed) == sorted((kind.value, sha256_hex(blob)) for kind in kinds for blob in blobs)
+
+
+def test_an_id_indexed_before_commit_is_not_indexed_twice(repo, store):
+    batch = WriteBatch(store)
+    staged = batch.put(ArtifactKind.DATA, b"raced")
+    ArtifactStore(repo).put(ArtifactKind.DATA, b"raced")
+    batch.commit()
+    assert [row["hash"] for row in journal_rows(repo.index_path)] == [staged.hash]
+
+
+@pytest.mark.parametrize(
+    "blob, kept", [(b' \n\t["a", "b"]\n', True), (b"\x00\x01[binary", False), (b"  {}", False)]
+)
+def test_get_by_hash_keeps_only_blobs_with_the_lead_byte(store, blob, kept):
+    artifact_id = store.put(ArtifactKind.DATA, blob)
+    assert store.get_by_hash(artifact_id.hash, lead=b"[") == (blob if kept else None)
+    assert store.get_by_hash(artifact_id.hash) == blob
+    corrupt_object(store, artifact_id, offset=len(blob) - 1)
+    with pytest.raises(IntegrityViolationError):
+        store.get_by_hash(artifact_id.hash, lead=b"[")
