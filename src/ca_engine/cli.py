@@ -139,20 +139,6 @@ def _parse_pin_flag(text: str) -> VersionPin:
     return VersionPin(component, version, content if at else None)
 
 
-def _run_summary(record) -> dict:
-    return {
-        "run_id": record.run_id,
-        "kind": record.kind,
-        "branch": record.branch,
-        "status": record.status,
-        "started_at": record.started_at,
-        "finished_at": record.finished_at,
-        "result_ids": [str(r) for r in record.result_ids],
-        "labels": dict(record.labels),
-        "data_scope": dict(record.data_scope),
-    }
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -260,7 +246,7 @@ def cmd_flow_run(args) -> int:
         record = ctx.pipeline.run_direct(graph, executor, branch=args.branch)
     _emit(
         args,
-        _run_summary(record),
+        record.summary(),
         f"run {record.run_id} [{record.kind}] {record.status}",
     )
     return 0 if record.status == "succeeded" else 1
@@ -280,9 +266,9 @@ def cmd_event_emit(args) -> int:
 
 def cmd_run_ls(args) -> int:
     ctx = _Context(args)
-    records = ctx.runs.list()
-    doc = {"runs": [_run_summary(r) for r in records]}
-    rows = [[r.run_id, r.kind, r.branch, r.status, r.started_at] for r in records]
+    summaries = ctx.runs.summaries()
+    doc = {"runs": summaries}
+    rows = [[s["run_id"], s["kind"], s["branch"], s["status"], s["started_at"]] for s in summaries]
     _emit(args, doc, _table(["run_id", "kind", "branch", "status", "started_at"], rows))
     return 0
 
@@ -291,7 +277,7 @@ def cmd_run_show(args) -> int:
     ctx = _Context(args)
     record = ctx.runs.load(args.run_id)
     doc = record.to_dict()
-    lines = [f"{k}: {v}" for k, v in _run_summary(record).items()]
+    lines = [f"{k}: {v}" for k, v in record.summary().items()]
     lines.append(f"steps: {len(record.step_outcomes)} outcome(s)")
     _emit(args, doc, "\n".join(lines))
     return 0
@@ -332,7 +318,7 @@ def cmd_approve(args) -> int:
     if args.auto_release:
         graph = ctx.load_graph(args.flow)
         release = ctx.pipeline.run_release(args.run_id, graph, ProcessExecutor())
-        doc = {"approval": doc, "release": _run_summary(release)}
+        doc = {"approval": doc, "release": release.summary()}
         human += f"\nrelease {release.run_id} {release.status}"
         _emit(args, doc, human)
         return 0 if release.status == "succeeded" else 1
@@ -351,7 +337,7 @@ def cmd_release(args) -> int:
     ctx = _Context(args)
     graph = ctx.load_graph(args.flow)
     release = ctx.pipeline.run_release(args.run_id, graph, ProcessExecutor())
-    _emit(args, _run_summary(release), f"release {release.run_id} {release.status}")
+    _emit(args, release.summary(), f"release {release.run_id} {release.status}")
     return 0 if release.status == "succeeded" else 1
 
 

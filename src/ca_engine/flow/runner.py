@@ -17,7 +17,8 @@ record, in plan order. Once every task has finished, one commit makes the
 staged objects durable and indexes them under a single write lock; then the
 run's feedback bundle is stored, the record is written once, and lineage is
 appended. A task that raises aborts the run before the commit, so nothing
-it or its siblings staged is indexed.
+it or its siblings staged is indexed, and tasks that have not started by
+then return without running or staging anything.
 
 Each input is hashed once per run: content hashes the caller already
 verified in this run and bytes the batch hashed when staging them are
@@ -164,6 +165,8 @@ class _RunContext:
         # its producers finished, so it reads its inputs here without the lock.
         self.outputs: dict[tuple[str, str], ArtifactId] = {}
         self.outcomes: dict[str, StepOutcome] = {}
+        # Set by the first task that raises; tasks that start later do nothing.
+        self.aborted = threading.Event()
         # Content hashes, per run and never per store: the next run must verify again.
         self.verify_locks: dict[str, threading.Lock] = {}
         self.verified: set[str] = set(verified)
@@ -211,6 +214,17 @@ def _materialize(ctx: _RunContext, artifact_id: ArtifactId, path: Path) -> None:
 
 
 def _run_task(ctx: _RunContext, task: _Task) -> bool:
+    """Run one task, unless the run is aborting; a task that raises aborts it."""
+    if ctx.aborted.is_set():
+        return False
+    try:
+        return _execute_task(ctx, task)
+    except BaseException:
+        ctx.aborted.set()
+        raise
+
+
+def _execute_task(ctx: _RunContext, task: _Task) -> bool:
     workdir = ctx.workdir_root / task.key
     inputs_dir = workdir / "inputs"
     outputs_dir = workdir / "outputs"

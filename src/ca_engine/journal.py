@@ -19,18 +19,19 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import IntegrityViolationError, InvalidTupleError
 from .util import append_line, canonical_json
-
-_DECODER = json.JSONDecoder()
 
 
 class Journal:
     """One append-only JSONL file indexed by ``key(row)``.
 
-    ``group`` optionally maps each key to a secondary key, so that
+    The artifact index, the event and promotion logs, lineage edges and run
+    summaries are each one journal. ``key`` is also the row's shape check:
+    raising ``KeyError``, ``TypeError`` or ``ValueError`` marks the line as
+    damaged. ``group`` optionally maps each key to a secondary key, so that
     :meth:`group` returns every key sharing it without a scan. Writers must
     hold the repository write lock around :meth:`append` and around any read
     whose answer decides what they append.
@@ -97,37 +98,43 @@ class Journal:
         self._seen = self._offset + len(chunk) - end
 
     def _parse(self, chunk: bytes) -> None:
-        """Index complete lines; ``chunk`` ends with a newline."""
+        """Index complete lines; ``chunk`` ends with a newline.
+
+        The lines are decoded with one ``json.loads`` as the items of an
+        array. When that fails, or yields a row count other than the line
+        count, a per-line loop decodes them instead: it skips blank lines,
+        allows surrounding blanks, and names the line that does not parse.
+        """
         try:
             text = chunk.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise self._corrupt(self._lines + chunk.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
-        line = self._lines
-        pos = 0
-        while pos < len(text):
-            line += 1
-            newline = text.index("\n", pos)
-            try:
-                row, end = _DECODER.raw_decode(text, pos)
-            except ValueError:
-                end = -1
-            if end != newline:
-                # Off the canonical fast path: skip a blank line, allow
-                # surrounding blanks, or report why the line does not parse.
-                raw = text[pos:newline]
-                if not raw.strip():
-                    pos = newline + 1
-                    continue
-                try:
-                    row = json.loads(raw)
-                except ValueError as exc:
-                    raise self._corrupt(line, str(exc)) from None
-            pos = newline + 1
+        lines = text.split("\n")
+        lines.pop()  # the empty string after the final newline
+        first = self._lines + 1
+        try:
+            rows = json.loads("[" + ",".join(lines) + "]")
+        except ValueError:
+            rows = None
+        if rows is not None and len(rows) == len(lines):
+            numbered = enumerate(rows, first)
+        else:
+            numbered = self._decode_lines(lines, first)
+        for line, row in numbered:
             try:
                 self._insert(self._key(row), row)
             except (KeyError, TypeError, AttributeError, ValueError, InvalidTupleError) as exc:
                 raise self._corrupt(line, f"bad row ({exc!r})") from None
-        self._lines = line
+        self._lines += len(lines)
+
+    def _decode_lines(self, lines: list[str], first: int) -> Iterator[tuple[int, object]]:
+        """Numbered rows, decoded lazily so a bad row is reported before a later bad line."""
+        for line, raw in enumerate(lines, first):
+            if raw.strip():
+                try:
+                    yield line, json.loads(raw)
+                except ValueError as exc:
+                    raise self._corrupt(line, str(exc)) from None
 
     def _insert(self, key: Hashable, row: dict) -> None:
         if key not in self._rows:

@@ -1,10 +1,11 @@
 """Repository layout and the single-writer advisory lock.
 
 All engine state lives under one directory (conventionally ``.ca/``):
-``objects/`` and ``index.jsonl`` for the artifact store, ``runs/`` and
-``counters.json`` for run records, ``events.jsonl``/``pins.json``/
-``promotions.jsonl`` for the pipeline, ``lineage.jsonl`` for provenance
-edges, plus ``config.json`` and ``gates.json``.
+``objects/`` and ``index.jsonl`` for the artifact store, ``runs/``,
+``runs.jsonl`` and ``counters.json`` for run records,
+``events.jsonl``/``pins.json``/``promotions.jsonl`` for the pipeline,
+``lineage.jsonl`` for provenance edges, plus ``config.json`` and
+``gates.json``.
 
 Writers serialize through ``write_lock()``: an in-process mutex combined
 with an ``fcntl`` lock on the ``lock`` file, so concurrent writer processes
@@ -56,6 +57,10 @@ class Repository:
     @property
     def index_path(self) -> Path:
         return self.root / "index.jsonl"
+
+    @property
+    def runs_journal_path(self) -> Path:
+        return self.root / "runs.jsonl"
 
     @property
     def counters_path(self) -> Path:
@@ -110,7 +115,13 @@ class Repository:
         self.objects_dir.mkdir(exist_ok=True)
         self.runs_dir.mkdir(exist_ok=True)
         self.tmp_dir.mkdir(exist_ok=True)
-        for path in (self.index_path, self.events_path, self.promotions_path, self.lineage_path):
+        for path in (
+            self.index_path,
+            self.runs_journal_path,
+            self.events_path,
+            self.promotions_path,
+            self.lineage_path,
+        ):
             path.touch()
         if not self.counters_path.exists():
             atomic_write_json(self.counters_path, {})

@@ -20,9 +20,10 @@ from .errors import (
     RunNotFoundError,
     StorageError,
 )
+from .journal import Journal
 from .repo import Repository
 from .store import ArtifactId, ArtifactKind, ArtifactStore, is_content_hash, sha256_hex
-from .util import atomic_write_json, atomic_write_text, canonical_json, load_state
+from .util import atomic_write_json, atomic_write_text, canonical_json, decode_state, load_state
 
 COMPONENT_RE = re.compile(r"[a-z0-9_-]+")
 BASELINE_COMPONENTS = ("code", "data", "dependencies", "deployment")
@@ -244,6 +245,20 @@ class RunRecord:
             "data_scope": dict(self.data_scope),
         }
 
+    def summary(self) -> dict:
+        """The fields ``ca run ls`` lists, as JSON types."""
+        return {
+            "run_id": self.run_id,
+            "kind": self.kind,
+            "branch": self.branch,
+            "status": self.status,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "result_ids": [str(r) for r in self.result_ids],
+            "labels": dict(self.labels),
+            "data_scope": dict(self.data_scope),
+        }
+
     @classmethod
     def from_dict(cls, row: Mapping) -> "RunRecord":
         return cls(
@@ -268,13 +283,48 @@ def _counters(doc: object) -> dict[str, int]:
     return doc
 
 
+_SUMMARY_TYPES = {
+    "run_id": str,
+    "kind": str,
+    "branch": str,
+    "status": str,
+    "started_at": str,
+    "finished_at": (str, type(None)),
+    "result_ids": list,
+    "labels": dict,
+    "data_scope": dict,
+}
+
+
+def _summary_key(row: dict) -> tuple[str, str]:
+    """Check a ``runs.jsonl`` row's shape; its key is (run id, record digest)."""
+    digest, summary = row["sha256"], row["summary"]
+    if not (isinstance(digest, str) and is_content_hash(digest)):
+        raise ValueError(f"bad record digest {digest!r}")
+    if set(summary) != set(_SUMMARY_TYPES):
+        raise ValueError(f"summary fields {sorted(summary)}")
+    for name, types in _SUMMARY_TYPES.items():
+        if not isinstance(summary[name], types):
+            raise TypeError(f"summary field {name}: {summary[name]!r}")
+    return summary["run_id"], digest
+
+
 class RunStore:
-    """Mints run ids and persists run records under ``runs/``."""
+    """Mints run ids and persists run records under ``runs/``.
+
+    Each record is one ``runs/<run-id>.json`` file, the source of truth for
+    its run. ``runs.jsonl`` is a :class:`Journal` caching each record's
+    :meth:`RunRecord.summary`, keyed by run id and the SHA-256 of the record
+    file's bytes: :meth:`record` appends a row after it writes the file, and
+    :meth:`summaries` uses a row only while the file still hashes to its
+    digest, loading the record itself otherwise.
+    """
 
     def __init__(self, repo: Repository, store: ArtifactStore):
         repo.require()
         self.repo = repo
         self._store = store
+        self._summaries = Journal(repo.runs_journal_path, _summary_key)
 
     def run_path(self, run_id: str):
         return self.repo.runs_dir / f"{run_id}.json"
@@ -329,6 +379,8 @@ class RunStore:
                 atomic_write_text(path, payload)
             except OSError as exc:
                 raise StorageError(f"cannot write run record: {exc}") from exc
+            digest = sha256_hex(payload.encode("utf-8"))
+            self._summaries.append([{"sha256": digest, "summary": record.summary()}])
 
     def attach_feedback(self, run_id: str, feedback_id: ArtifactId) -> None:
         """Set a recorded run's feedback bundle reference (write-once).
@@ -356,6 +408,28 @@ class RunStore:
         if record is None:
             raise RunNotFoundError(f"no run {run_id}")
         return record
+
+    def summaries(self) -> list[dict]:
+        """Every run's :meth:`RunRecord.summary`, in :meth:`list` order.
+
+        A record whose bytes hash to a ``runs.jsonl`` row's digest is
+        summarized from that row without being decoded; any other record is
+        decoded from the bytes just read, so a damaged one raises as
+        :meth:`load` would.
+        """
+        summaries = []
+        for path in self.repo.runs_dir.glob("*.json"):
+            try:
+                payload = path.read_bytes()
+            except FileNotFoundError:
+                continue
+            row = self._summaries.get((path.stem, sha256_hex(payload)))
+            if row is None:
+                summaries.append(decode_state(path, payload, RunRecord.from_dict).summary())
+            else:
+                summaries.append(row["summary"])
+        summaries.sort(key=lambda s: (s["started_at"], s["run_id"]))
+        return summaries
 
     def list(self) -> list[RunRecord]:
         loaded = (load_state(p, RunRecord.from_dict, None) for p in self.repo.runs_dir.glob("*.json"))

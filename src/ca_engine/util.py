@@ -104,10 +104,16 @@ def load_state(path: Path, build: Callable[[Any], T], default: T) -> T:
     rejects, is damaged state: :class:`IntegrityViolationError` naming it.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        data = path.read_bytes()
     except FileNotFoundError:
         return default
+    return decode_state(path, data, build)
+
+
+def decode_state(path: Path, data: bytes, build: Callable[[Any], T]) -> T:
+    """``build`` applied to bytes already read from ``path``, failing as :func:`load_state` does."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
     except ValueError as exc:
         raise IntegrityViolationError(f"{path}: not JSON: {exc}") from None
     try:

@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -801,3 +802,33 @@ def test_an_aborted_run_indexes_nothing_and_the_next_run_rewrites_what_it_staged
         ids += [outcome.log_id, outcome.env_snapshot_id, *outcome.output_ids.values()]
     assert all(store.verify(artifact_id) for artifact_id in ids)
     assert store.get(record.result_ids[0]) == b"".join(fan_line(i, data) for i in range(4))
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_an_aborted_run_starts_no_further_task(repo, store, run_store, parallelism):
+    data = b"shared input\n" * 100
+    blob = store.put(ArtifactKind.DATA, data)
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 4)))
+    raised = threading.Event()
+
+    def lose_backend(**kwargs):
+        raised.set()
+        raise ExecutorFailureError("executor lost its backend")
+
+    def outlast_the_failure(**kwargs):
+        # Hold the second worker until fan.p2 has raised, so fan.p3 is still queued then.
+        assert raised.wait(timeout=30)
+        time.sleep(0.1)
+        return ScriptedResult({"part": fan_line(1, data)}, 0, b"")
+
+    failing = fan_executor()
+    failing.scripts["fan.p2"] = lose_backend
+    if parallelism > 1:
+        failing.scripts["fan.p1"] = outlast_the_failure
+    with pytest.raises(ExecutorFailureError):
+        execute(
+            graph, baseline_tuple(data_content=blob.hash), failing, kind="validation", store=store,
+            run_store=run_store, parallelism=parallelism,
+        )
+    assert "fan.p3" not in {i.key for i in failing.invocations}
+    assert not store.object_path(sha256_hex(fan_line(3, data))).exists()
