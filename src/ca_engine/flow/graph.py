@@ -19,6 +19,7 @@ outcomes can reference a partitioned step only through its merge output slot.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass
@@ -375,36 +376,19 @@ def _adjacency(graph: FlowGraph) -> dict[str, set[str]]:
     return adj
 
 
-def _cycle_members(graph: FlowGraph) -> set[str]:
-    """Nodes lying on some dependency cycle.
-
-    Iteratively strips nodes with zero in-degree, then zero out-degree; what
-    survives is exactly the union of cycles.
-    """
-    adj = _adjacency(graph)
-    nodes = set(adj)
-    changed = True
-    while changed:
-        changed = False
-        indeg = {n: 0 for n in nodes}
-        for src in nodes:
-            for dst in adj[src]:
-                if dst in nodes:
-                    indeg[dst] += 1
-        removable = {n for n in nodes if indeg[n] == 0 or not (adj[n] & nodes)}
-        if removable:
-            nodes -= removable
-            changed = True
-    return nodes
-
-
-def topo_order(graph: FlowGraph) -> list[str]:
-    """Topological order with lexicographic tie-breaking; raises on cycles."""
-    import heapq
-
-    adj = _adjacency(graph)
-    indeg = {name: 0 for name in adj}
+def _reverse(adj: Mapping[str, set[str]]) -> dict[str, set[str]]:
+    """The same edges, consumer -> producer."""
+    reverse: dict[str, set[str]] = {name: set() for name in adj}
     for src, dsts in adj.items():
+        for dst in dsts:
+            reverse[dst].add(src)
+    return reverse
+
+
+def _strip(adj: Mapping[str, set[str]]) -> list[str]:
+    """Kahn's algorithm with lexicographic tie-breaking: the nodes no cycle reaches, in order."""
+    indeg = {name: 0 for name in adj}
+    for dsts in adj.values():
         for dst in dsts:
             indeg[dst] += 1
     ready = [name for name, d in indeg.items() if d == 0]
@@ -417,6 +401,24 @@ def topo_order(graph: FlowGraph) -> list[str]:
             indeg[dst] -= 1
             if indeg[dst] == 0:
                 heapq.heappush(ready, dst)
+    return order
+
+
+def _cycle_members(graph: FlowGraph) -> set[str]:
+    """Nodes that a dependency cycle reaches and that reach one.
+
+    That is every node on a cycle, and also any node on a path between two
+    cycles. The forward strip places every node no cycle reaches, the strip
+    of the reversed graph every node that reaches no cycle; the rest remain.
+    """
+    adj = _adjacency(graph)
+    return set(adj).difference(_strip(adj), _strip(_reverse(adj)))
+
+
+def topo_order(graph: FlowGraph) -> list[str]:
+    """Topological order with lexicographic tie-breaking; raises on cycles."""
+    adj = _adjacency(graph)
+    order = _strip(adj)
     if len(order) != len(adj):
         raise FlowCycleError("flow graph contains a dependency cycle")
     return order
@@ -426,10 +428,7 @@ def critical_artifacts(graph: FlowGraph) -> set[InputRef]:
     """External inputs with a directed path to a designated outcome."""
     adj = _adjacency(graph)
     # Steps from which some outcome-producing step is reachable.
-    reverse: dict[str, set[str]] = {name: set() for name in adj}
-    for src, dsts in adj.items():
-        for dst in dsts:
-            reverse[dst].add(src)
+    reverse = _reverse(adj)
     reaching: set[str] = set()
     frontier = [o.step for o in graph.outcomes if o.step in adj]
     while frontier:

@@ -20,9 +20,10 @@ appended. A task that raises aborts the run before the commit, so nothing
 it or its siblings staged is indexed, and tasks that have not started by
 then return without running or staging anything.
 
-Each input is hashed once per run: content hashes the caller already
-verified in this run and bytes the batch hashed when staging them are
-trusted, and any other id is verified by the first task that needs it.
+Each input is hashed once per run: the run's write batch checks it before
+the first task that needs it gets a copy, unless the caller or the batch
+already hashed those bytes in this run. Each task gets its own copy, so a
+step that writes to its inputs reaches neither the store nor a sibling.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _plan(
 
 
 class _RunContext:
-    def __init__(self, executor, store, batch, workdir_root, env, verified):
+    def __init__(self, executor, store, batch, workdir_root, env):
         self.executor = executor
         self.store = store
         self.batch = batch
@@ -167,9 +168,6 @@ class _RunContext:
         self.outcomes: dict[str, StepOutcome] = {}
         # Set by the first task that raises; tasks that start later do nothing.
         self.aborted = threading.Event()
-        # Content hashes, per run and never per store: the next run must verify again.
-        self.verify_locks: dict[str, threading.Lock] = {}
-        self.verified: set[str] = set(verified)
 
 
 def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: ArtifactStore) -> dict[InputRef, ArtifactId]:
@@ -190,27 +188,6 @@ def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: Artif
                 raise UnresolvedInputError(f"pin {ref.component!r} content {pin.content} not in store")
             resolved[ref] = records[0].id
     return resolved
-
-
-def _materialize(ctx: _RunContext, artifact_id: ArtifactId, path: Path) -> None:
-    """Give a task its own copy of an artifact, hash-verified once per run.
-
-    Bytes the caller verified or the batch wrote in this run are not hashed
-    again. Otherwise the first task that needs a hash verifies it under that
-    hash's lock; later ones wait for that check instead of hashing again, and
-    no task gets a copy of bytes that have not passed it. Each copy is a file
-    of its own, so a step that writes to its inputs reaches neither the store
-    nor a sibling.
-    """
-    digest = artifact_id.hash
-    if digest not in ctx.batch.written:
-        with ctx.lock:
-            hash_lock = ctx.verify_locks.setdefault(digest, threading.Lock())
-        with hash_lock:
-            if digest not in ctx.verified:
-                ctx.store.check(artifact_id)
-                ctx.verified.add(digest)
-    ctx.store.copy_to(artifact_id, path)
 
 
 def _run_task(ctx: _RunContext, task: _Task) -> bool:
@@ -238,7 +215,8 @@ def _execute_task(ctx: _RunContext, task: _Task) -> bool:
         for item in task.inputs:
             path = inputs_dir / item.file
             source = item.source if isinstance(item.source, ArtifactId) else ctx.outputs[item.source]
-            _materialize(ctx, source, path)
+            ctx.batch.check(source)
+            ctx.store.copy_to(source, path)
             input_paths[item.key] = path
             substitution.setdefault(item.placeholder, []).append(str(path))
         declared_outputs = {slot: outputs_dir / slot for slot in task.outputs}
@@ -320,7 +298,8 @@ def execute(
     order = topo_order(graph)
 
     externals = _resolve_externals(graph, avt, store)
-    batch = WriteBatch(store)
+    # Trust is per run and never per store: the next run's batch checks again.
+    batch = WriteBatch(store, verified)
 
     manifest_id = None
     if data_scope.manifest_ids is not None:
@@ -348,7 +327,7 @@ def execute(
     workdir_root.mkdir(parents=True, exist_ok=True)
 
     env = {name: os.environ[name] for name in graph.env_whitelist if name in os.environ}
-    ctx = _RunContext(executor, store, batch, workdir_root, env, verified)
+    ctx = _RunContext(executor, store, batch, workdir_root, env)
 
     waiting = {key: len(task.deps) for key, task in tasks.items()}
     dependents: dict[str, list[str]] = {key: [] for key in tasks}

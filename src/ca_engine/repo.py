@@ -135,16 +135,15 @@ class Repository:
     # -- locking -----------------------------------------------------------
 
     @contextmanager
-    def write_lock(self, timeout: float | None = None) -> Iterator[None]:
+    def write_lock(self) -> Iterator[None]:
         """Exclusive repository write lock.
 
-        ``timeout=None`` uses the repository default; a timeout of 0 fails
-        fast. Raises :class:`LockHeldError` when the lock cannot be acquired
-        in time.
+        Waits up to ``lock_timeout`` seconds, forever when it is None; a
+        timeout of 0 fails fast. Raises :class:`LockHeldError` when the lock
+        cannot be acquired in time.
         """
         self.require()
-        if timeout is None:
-            timeout = self.lock_timeout
+        timeout = self.lock_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         if not self._mutex.acquire(timeout=-1 if deadline is None else max(timeout, 0)):
             raise LockHeldError(f"write lock on {self.root} held by another thread")

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import IntegrityViolationError, NotFoundError, StorageError
 from .journal import Journal
@@ -164,23 +164,12 @@ class ArtifactStore:
             raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
         return data
 
-    def check(self, artifact_id: ArtifactId) -> None:
-        """Raise as :meth:`get` would, without holding the blob in memory.
-
-        Every kind shares the object file, so the id passes once any kind
-        indexes its hash: an id a :class:`WriteBatch` has staged but not yet
-        committed can be checked too.
-        """
-        if not self.has_hash(artifact_id.hash):
-            raise NotFoundError(f"artifact {artifact_id} not in index")
-        if self._object_digest(artifact_id.hash) != artifact_id.hash:
-            raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
-
     def copy_to(self, artifact_id: ArtifactId, dest: Path) -> None:
         """Copy the stored bytes to a new file ``dest``, inside the kernel.
 
-        The bytes are not hashed: callers :meth:`check` the id first. ``dest``
-        is a file of its own, so writing to it never reaches the store.
+        The bytes are not hashed: callers check the id with
+        :meth:`WriteBatch.check` first. ``dest`` is a file of its own, so
+        writing to it never reaches the store.
         """
         with self._object_errors(artifact_id.hash):
             shutil.copyfile(self.object_path(artifact_id.hash), dest)
@@ -295,15 +284,24 @@ class WriteBatch:
     batch wrote, and appends every index row still missing with one
     :meth:`Journal.append`. Until then no staged id is in the store. Safe to
     share between threads.
+
+    A batch is run-scoped and trusts only hashes seeded as ``verified``, ones
+    :meth:`check` passed, and ones whose object file :meth:`put` wrote from
+    bytes it hashed: a file that ``put`` found indexed predates the batch.
     """
 
-    def __init__(self, store: ArtifactStore):
+    def __init__(self, store: ArtifactStore, verified: Iterable[str] = ()):
         self._store = store
         self._lock = threading.Lock()
         self._records: dict[tuple[str, str], ArtifactRecord] = {}
         self._file_locks: dict[str, threading.Lock] = {}
         # Digests whose object file this batch wrote from bytes it hashed.
-        self.written: set[str] = set()
+        self._written: set[str] = set()
+        self._trusted: set[str] = set(verified)
+
+    def _file_lock(self, digest: str) -> threading.Lock:
+        with self._lock:
+            return self._file_locks.setdefault(digest, threading.Lock())
 
     def put(
         self,
@@ -324,16 +322,32 @@ class WriteBatch:
             return artifact_id
         with self._lock:
             self._records.setdefault(key, ArtifactRecord(artifact_id, len(data), media_type, utc_now_iso(), labels))
-            file_lock = self._file_locks.setdefault(digest, threading.Lock())
         # Held while writing, so a second put of these bytes returns only once the file is in place.
-        with file_lock:
-            if digest not in self.written and not store.has_hash(digest):
-                try:
-                    atomic_write_bytes(store.object_path(digest), data, durable=False)
-                except OSError as exc:
-                    raise StorageError(f"failed to store {artifact_id}: {exc}") from exc
-                self.written.add(digest)
+        with self._file_lock(digest):
+            if digest not in self._written and not store.has_hash(digest):
+                atomic_write_bytes(store.object_path(digest), data, durable=False)
+                self._written.add(digest)
+                self._trusted.add(digest)
         return artifact_id
+
+    def check(self, artifact_id: ArtifactId) -> None:
+        """Raise as :meth:`ArtifactStore.get` would, unless the hash is trusted.
+
+        The first caller hashes the object file under the digest's lock and
+        later ones wait for it; a hash that passes is trusted. Every kind
+        shares the object file, so any kind indexing the hash will do.
+        """
+        digest = artifact_id.hash
+        if digest in self._trusted:
+            return
+        with self._file_lock(digest):
+            if digest in self._trusted:
+                return
+            if not self._store.has_hash(digest):
+                raise NotFoundError(f"artifact {artifact_id} not in index")
+            if self._store._object_digest(digest) != digest:
+                raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
+            self._trusted.add(digest)
 
     def commit(self) -> None:
         """Make the staged objects durable, then index them; a no-op when nothing is staged."""
@@ -341,12 +355,9 @@ class WriteBatch:
             return
         store = self._store
         with store._repo.write_lock():
-            try:
-                for digest in sorted(self.written):
-                    fsync_file(store.object_path(digest))
-                # Another writer may have indexed some of them since they were staged.
-                rows = [record.to_dict() for key, record in self._records.items() if store._index.get(key) is None]
-                store._index.append(rows)
-            except OSError as exc:
-                raise StorageError(f"failed to commit {len(self._records)} artifacts: {exc}") from exc
+            for digest in sorted(self._written):
+                fsync_file(store.object_path(digest))
+            # Another writer may have indexed some of them since they were staged.
+            rows = [record.to_dict() for key, record in self._records.items() if store._index.get(key) is None]
+            store._index.append(rows)
         self._records.clear()

@@ -18,7 +18,6 @@ from .errors import (
     InvalidTupleError,
     RunConflictError,
     RunNotFoundError,
-    StorageError,
 )
 from .journal import Journal
 from .repo import Repository
@@ -342,10 +341,7 @@ class RunStore:
             while self.exists(f"{prefix}-{seq:06d}"):
                 seq += 1
             counters[prefix] = seq
-            try:
-                atomic_write_json(self.repo.counters_path, counters)
-            except OSError as exc:
-                raise StorageError(f"cannot persist run counter: {exc}") from exc
+            atomic_write_json(self.repo.counters_path, counters)
         return f"{prefix}-{seq:06d}"
 
     def _check_references(self, record: RunRecord) -> None:
@@ -375,10 +371,7 @@ class RunStore:
                 if path.read_text(encoding="utf-8") == payload:
                     return
                 raise RunConflictError(f"run {record.run_id} already recorded with different content")
-            try:
-                atomic_write_text(path, payload)
-            except OSError as exc:
-                raise StorageError(f"cannot write run record: {exc}") from exc
+            atomic_write_text(path, payload)
             digest = sha256_hex(payload.encode("utf-8"))
             self._summaries.append([{"sha256": digest, "summary": record.summary()}])
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
-from .errors import IntegrityViolationError, InvalidTupleError
+from .errors import IntegrityViolationError, InvalidTupleError, StorageError
 
 T = TypeVar("T")
 
@@ -24,36 +25,47 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
 
 
+@contextmanager
+def _write_errors(path: Path) -> Iterator[None]:
+    """Map an ``OSError`` while writing ``path`` to :class:`StorageError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None:
     """Write via a temp file in the same directory plus rename; never partial.
 
     ``durable=False`` skips the fsync: the caller must :func:`fsync_file` the
     path before anything durable refers to it.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            if durable:
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+    with _write_errors(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                if durable:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def fsync_file(path: Path) -> None:
     """Flush a file written with ``durable=False`` to stable storage."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    with _write_errors(path):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -70,12 +82,13 @@ def append_line(path: Path, line: str, truncate_to: int | None = None) -> None:
     ``line`` may hold several newline-joined rows, which then share the fsync.
     With ``truncate_to``, the file is first cut to that many bytes.
     """
-    if truncate_to is not None:
-        os.truncate(path, truncate_to)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+    with _write_errors(path):
+        if truncate_to is not None:
+            os.truncate(path, truncate_to)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
 
 
 def read_jsonl(path: Path) -> list[dict]:

@@ -310,3 +310,78 @@ def test_to_dot_mentions_steps_and_outcomes():
     for name in ("step1", "step2", "step3", "step4"):
         assert f'"{name}"' in dot
     assert "outcome:step4.merged" in dot
+
+
+def edges_manifest(names, edges):
+    """One step per name, fed by an input from ``src`` for each ``(src, dst)`` edge."""
+    inputs = {name: {} for name in names}
+    for index, (src, dst) in enumerate(edges):
+        inputs[dst][f"in{index}"] = {"step": src, "slot": "out"}
+    steps = [{"name": name, "command": "go {output:out}", "inputs": inputs[name], "outputs": ["out"]} for name in names]
+    return {"steps": steps, "outcomes": [{"step": names[0], "slot": "out"}]}
+
+
+def reported_cycle_members(graph):
+    details = [v.detail for v in validate(graph) if v.code == "cycle"]
+    if not details:
+        return set()
+    (detail,) = details
+    return set(detail[detail.index("[") + 1 : detail.rindex("]")].split(", "))
+
+
+def brute_force_cycle_members(names, edges):
+    """Nodes reachable from a node on a cycle that also reach a node on a cycle."""
+    successors = {name: set() for name in names}
+    for src, dst in edges:
+        successors[src].add(dst)
+
+    def reachable(start):
+        seen, frontier = set(), [start]
+        while frontier:
+            for nxt in successors[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
+
+    reach = {name: reachable(name) for name in names}
+    on_cycle = {name for name in names if name in reach[name]}
+    return {
+        name
+        for name in names
+        if any(name == c or name in reach[c] for c in on_cycle) and any(c == name or c in reach[name] for c in on_cycle)
+    }
+
+
+@pytest.mark.parametrize(
+    "edges, members",
+    [
+        # A tail into a cycle and a tail out of it are not members.
+        ([("in", "a"), ("a", "b"), ("b", "a"), ("b", "out")], {"a", "b"}),
+        ([("a", "a"), ("a", "out")], {"a"}),
+        # The node joining two cycles lies on neither, but both reach it.
+        ([("a", "b"), ("b", "a"), ("b", "join"), ("join", "c"), ("c", "d"), ("d", "c")], {"a", "b", "join", "c", "d"}),
+        ([("a", "b"), ("b", "c")], set()),
+    ],
+    ids=["tails", "self-loop", "two-cycles-joined", "acyclic"],
+)
+def test_cycle_members_on_named_shapes(edges, members):
+    names = sorted({node for edge in edges for node in edge})
+    assert brute_force_cycle_members(names, edges) == members
+    assert reported_cycle_members(parse(edges_manifest(names, edges))) == members
+
+
+def test_cycle_members_match_brute_force_on_random_graphs():
+    rng = random.Random(777)
+    for _ in range(300):
+        names = [f"s{i:02d}" for i in range(rng.randrange(1, 10))]
+        edges = sorted({(rng.choice(names), rng.choice(names)) for _ in range(rng.randrange(0, 2 * len(names) + 1))})
+        graph = parse(edges_manifest(names, edges))
+        members = brute_force_cycle_members(names, edges)
+        assert reported_cycle_members(graph) == members
+        if members:
+            with pytest.raises(FlowCycleError):
+                topo_order(graph)
+        else:
+            position = {name: i for i, name in enumerate(topo_order(graph))}
+            assert all(position[src] < position[dst] for src, dst in edges)

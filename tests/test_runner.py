@@ -832,3 +832,32 @@ def test_an_aborted_run_starts_no_further_task(repo, store, run_store, paralleli
         )
     assert "fan.p3" not in {i.key for i in failing.invocations}
     assert not store.object_path(sha256_hex(fan_line(3, data))).exists()
+
+
+def test_an_indexed_upstream_output_is_checked_before_a_downstream_task_gets_it(repo, store, run_store):
+    manifest = {
+        "steps": [
+            {"name": "a", "command": "make {output:out}", "inputs": {}, "outputs": ["out"]},
+            {"name": "b", "command": "use {input:src} {output:out}", "inputs": {"src": {"step": "a", "slot": "out"}}, "outputs": ["out"]},
+        ],
+        "outcomes": [{"step": "b", "slot": "out"}],
+    }
+    graph = parse_manifest(json.dumps(manifest))
+
+    def flow_executor():
+        return RecordingExecutor({"a": scripted({"out": b"upstream bytes\n" * 50}), "b": scripted({"out": "done\n"})})
+
+    first = execute(graph, baseline_tuple(), flow_executor(), kind="validation", store=store, run_store=run_store)
+    assert first.status == "succeeded"
+    upstream = next(o for o in first.step_outcomes if o.step == "a").output_ids["out"]
+    obj = store.object_path(upstream.hash)
+    raw = bytearray(obj.read_bytes())
+    raw[3] ^= 0x01
+    obj.write_bytes(bytes(raw))
+
+    # `a` reproduces the same bytes, so staging them finds them indexed and
+    # leaves the damaged object file as it is; `b` must not get a copy of it.
+    executor = flow_executor()
+    with pytest.raises(IntegrityViolationError):
+        execute(graph, baseline_tuple(), executor, kind="validation", store=store, run_store=run_store)
+    assert [i.key for i in executor.invocations] == ["a"]

@@ -1,0 +1,149 @@
+"""Every fault in a write of engine state makes ``ca`` exit 3, and the repository stays usable.
+
+The sweep counts the ``os.fsync`` calls, K, of one in-process CLI cycle:
+``artifact put`` → ``event emit`` → ``flow run --event`` → ``approve
+--auto-release``. For each k ≤ K it runs that cycle on a fresh repository
+with the k-th fsync raising ``OSError(EIO)``. The command that hits it must
+exit 3 with ``error[storage-io]`` on stderr, no exception may leave ``main``,
+and a full second cycle on the same repository must then succeed.
+
+This models a failed syscall, not power loss: whatever was written before
+the fault stays in the page cache, so later commands read it.
+"""
+
+from __future__ import annotations
+
+import errno
+import io
+import json
+import os
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+
+from ca_engine.cli import main
+
+FLOW = {
+    "steps": [
+        {
+            "name": "experiment",
+            "command": "cat {input:dataset} {input:__data_manifest} > {output:model}",
+            "inputs": {"dataset": {"pin": "data"}},
+            "outputs": ["model"],
+        },
+        {
+            "name": "evaluate",
+            "command": "printf '{\"accuracy\": 0.91}' > {output:metrics}",
+            "inputs": {"model": {"step": "experiment", "slot": "model"}},
+            "outputs": ["metrics"],
+        },
+    ],
+    "outcomes": [{"step": "experiment", "slot": "model"}, {"step": "evaluate", "slot": "metrics"}],
+    "metrics_output": {"step": "evaluate", "slot": "metrics"},
+}
+
+
+class FailingFsync:
+    """Counts ``os.fsync`` calls and raises ``error`` at call number ``fail_at``."""
+
+    def __init__(self, fail_at=None, error=errno.EIO):
+        self.calls = 0
+        self.fail_at = fail_at
+        self.error = error
+        self._fsync = os.fsync
+
+    def __call__(self, fd):
+        self.calls += 1
+        if self.calls == self.fail_at or self.fail_at == "always":
+            raise OSError(self.error, os.strerror(self.error))
+        return self._fsync(fd)
+
+
+def ca(*argv):
+    """Exit code, stdout and stderr of one in-process ``ca`` command."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class Workspace:
+    def __init__(self, root):
+        root.mkdir()
+        self.root = root
+        self.repo = ["--repo", root / ".ca"]
+        self.flow = root / "flow.json"
+        self.flow.write_text(json.dumps(FLOW))
+        assert ca("init", *self.repo)[0] == 0
+        code, out, err = ca("artifact", "put", self.dataset(0), "--kind", "data", "--json", *self.repo)
+        pins = ["code=c1", "dependencies=d1", "deployment=y1", f"data=x0@{json.loads(out)['hash']}"]
+        assert ca("init", *(arg for pin in pins for arg in ("--pin", pin)), *self.repo)[0] == 0
+
+    def dataset(self, n):
+        path = self.root / f"dataset-{n}.json"
+        path.write_text(json.dumps([f"cycle-{n}-row-{i}" for i in range(20)]))
+        return path
+
+    def cycle(self, n):
+        """The cycle's commands: yields each argv and is sent back its exit code, stdout and stderr."""
+        code, out, err = yield ("artifact", "put", self.dataset(n), "--kind", "data", "--json", *self.repo)
+        content = json.loads(out)["hash"]
+        event = ("event", "emit", "--source", "data", "--ref", "main", "--version", f"x{n}", "--content", content)
+        yield (*event, "--id", f"evt-{n}", *self.repo)
+        code, out, err = yield ("flow", "run", self.flow, "--event", f"evt-{n}", "--json", *self.repo)
+        run_id = json.loads(out)["run_id"]
+        code, out, err = yield ("approve", run_id, "--by", "alice", "--auto-release", "--flow", self.flow, "--json", *self.repo)
+        assert json.loads(out)["release"]["status"] == "succeeded"
+
+
+def run_cycle(ws, n):
+    """Run cycle ``n`` until a command exits nonzero; that command's argv, code and stderr, or None."""
+    steps = ws.cycle(n)
+    argv = next(steps)
+    while True:
+        code, out, err = ca(*argv)
+        if code != 0:
+            return argv, code, err
+        try:
+            argv = steps.send((code, out, err))
+        except StopIteration:
+            return None
+
+
+@contextmanager
+def patched_fsync(monkeypatch, fsync):
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", fsync)
+        yield fsync
+
+
+def test_every_fsync_fault_in_a_cycle_exits_3_and_the_next_cycle_succeeds(tmp_path, monkeypatch):
+    ws = Workspace(tmp_path / "count")
+    with patched_fsync(monkeypatch, FailingFsync()) as counter:
+        assert run_cycle(ws, 1) is None
+    total = counter.calls
+    assert total > 0
+
+    wrong = []
+    for k in range(1, total + 1):
+        ws = Workspace(tmp_path / f"k{k}")
+        try:
+            with patched_fsync(monkeypatch, FailingFsync(fail_at=k)):
+                failed = run_cycle(ws, 1)
+        except Exception as exc:
+            wrong.append((k, f"escaped main: {exc!r}"))
+            continue
+        if failed is None or failed[1] != 3 or "error[storage-io]" not in failed[2]:
+            wrong.append((k, failed))
+            continue
+        again = run_cycle(ws, 2)
+        if again is not None:
+            wrong.append((k, "second cycle", again))
+    assert wrong == [], f"{len(wrong)} of {total} fsync faults: {wrong}"
+
+
+def test_init_pin_on_a_full_disk_exits_3_naming_the_file(tmp_path, monkeypatch):
+    repo = tmp_path / ".ca"
+    assert ca("init", "--repo", repo)[0] == 0
+    with patched_fsync(monkeypatch, FailingFsync(fail_at="always", error=errno.ENOSPC)):
+        code, _, err = ca("init", "--pin", "code=c1", "--repo", repo)
+    assert code == 3
+    assert "error[storage-io]" in err and str(repo / "pins.json") in err
