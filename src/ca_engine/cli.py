@@ -102,7 +102,7 @@ class _Context:
 
 def _emit(args, doc: dict, human: str) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True))
     elif human:
         print(human)
 
@@ -181,7 +181,7 @@ def cmd_artifact_get(args) -> int:
             import base64
 
             doc["base64"] = base64.b64encode(data).decode("ascii")
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True))
     elif not args.output:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -227,7 +227,7 @@ def cmd_flow_graph(args) -> int:
     graph = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
     dot = to_dot(graph)
     if getattr(args, "json", False):
-        print(json.dumps({"dot": dot}, indent=2, sort_keys=True))
+        print(json.dumps({"dot": dot}, sort_keys=True))
     else:
         print(dot)
     return 0

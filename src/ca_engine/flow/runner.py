@@ -24,6 +24,11 @@ Each input is hashed once per run: the run's write batch checks it before
 the first task that needs it gets a copy, unless the caller or the batch
 already hashed those bytes in this run. Each task gets its own copy, so a
 step that writes to its inputs reaches neither the store nor a sibling.
+
+A task's workdir ``tmp/<run-id>/<task>/`` is one flat directory holding its
+input copies as ``in.<file>`` and its declared outputs as ``out.<slot>``, so
+setting it up costs one ``mkdir``. Removing it unlinks those files and the
+directory; only a step that left files of its own there costs a tree walk.
 """
 
 from __future__ import annotations
@@ -201,25 +206,34 @@ def _run_task(ctx: _RunContext, task: _Task) -> bool:
         raise
 
 
+def _remove_dir(path: Path, files: Iterable[Path] = ()) -> None:
+    """Unlink ``files``, then remove ``path``; walk the tree only when something else is left in it."""
+    try:
+        for file in files:
+            try:
+                os.unlink(file)
+            except FileNotFoundError:
+                pass
+        os.rmdir(path)
+    except OSError:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 def _execute_task(ctx: _RunContext, task: _Task) -> bool:
+    # Slot names hold no dot, so in.<file> and out.<slot> cannot collide.
     workdir = ctx.workdir_root / task.key
-    inputs_dir = workdir / "inputs"
-    outputs_dir = workdir / "outputs"
+    input_paths = {item.key: workdir / f"in.{item.file}" for item in task.inputs}
+    declared_outputs = {slot: workdir / f"out.{slot}" for slot in task.outputs}
     # The executor returns the outputs' bytes, so the workdir goes as soon as it returns.
     try:
-        inputs_dir.mkdir(parents=True)
-        outputs_dir.mkdir(parents=True)
-
-        input_paths: dict[str, Path] = {}
+        os.mkdir(workdir)
         substitution: dict[str, list[str]] = {}
         for item in task.inputs:
-            path = inputs_dir / item.file
+            path = input_paths[item.key]
             source = item.source if isinstance(item.source, ArtifactId) else ctx.outputs[item.source]
             ctx.batch.check(source)
             ctx.store.copy_to(source, path)
-            input_paths[item.key] = path
             substitution.setdefault(item.placeholder, []).append(str(path))
-        declared_outputs = {slot: outputs_dir / slot for slot in task.outputs}
         for slot, path in declared_outputs.items():
             substitution[f"{{output:{slot}}}"] = [str(path)]
         if task.partition_index is not None:
@@ -231,7 +245,7 @@ def _execute_task(ctx: _RunContext, task: _Task) -> bool:
             rendered, inputs=input_paths, outputs=declared_outputs, env=ctx.env, workdir=workdir
         )
     finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+        _remove_dir(workdir, [*input_paths.values(), *declared_outputs.values()])
     wall_time_ms = int((time.monotonic() - started) * 1000)
 
     log_id = ctx.batch.put(ArtifactKind.RESULT, result.log, "text/plain")
@@ -357,7 +371,7 @@ def execute(
                 running += submit([nxt for nxt in dependents[key] if waiting[nxt] == 0])
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-        shutil.rmtree(workdir_root, ignore_errors=True)
+        _remove_dir(workdir_root)
     batch.commit()
 
     outcomes = [ctx.outcomes[key] for key in tasks if key in ctx.outcomes]

@@ -38,11 +38,15 @@ def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None
     """Write via a temp file in the same directory plus rename; never partial.
 
     ``durable=False`` skips the fsync: the caller must :func:`fsync_file` the
-    path before anything durable refers to it.
+    path before anything durable refers to it. The parent directory is
+    created only when it is missing.
     """
     with _write_errors(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
@@ -80,15 +84,23 @@ def append_line(path: Path, line: str, truncate_to: int | None = None) -> None:
     """Durable append of ``line`` plus a newline: one write, one fsync.
 
     ``line`` may hold several newline-joined rows, which then share the fsync.
-    With ``truncate_to``, the file is first cut to that many bytes.
+    With ``truncate_to``, the file is first cut to that many bytes. When the
+    write or the fsync fails, the file is cut back to its length before the
+    append, so a failed append leaves no row behind.
     """
-    with _write_errors(path):
+    data = memoryview((line + "\n").encode("utf-8"))
+    # Unbuffered, so closing the file writes nothing after a failed append is cut back.
+    with _write_errors(path), open(path, "ab", buffering=0) as fh:
         if truncate_to is not None:
-            os.truncate(path, truncate_to)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+            fh.truncate(truncate_to)
+        end = fh.seek(0, os.SEEK_END)
+        try:
+            while data:
+                data = data[fh.write(data) :]
             os.fsync(fh.fileno())
+        except BaseException:
+            fh.truncate(end)
+            raise
 
 
 def read_jsonl(path: Path) -> list[dict]:

@@ -5,10 +5,12 @@ import itertools
 import json
 import os
 import random
+import shutil
 import sys
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -613,8 +615,8 @@ def test_task_plan_is_pinned(repo, store, run_store):
         (
             "prep",
             None,
-            "prep <root>/prep/inputs/raw <root>/prep/inputs/aux <root>/prep/inputs/data_manifest.json "
-            "<root>/prep/outputs/out",
+            "prep <root>/prep/in.raw <root>/prep/in.aux <root>/prep/in.data_manifest.json "
+            "<root>/prep/out.out",
             {
                 "aux": "artifact:code:3febfb1a201bf3a27e566bf5bb6153b77cea27dfd0ea0db2b2f11845c5b4f6e3",
                 "raw": "pin:data",
@@ -625,23 +627,23 @@ def test_task_plan_is_pinned(repo, store, run_store):
         (
             "split",
             0,
-            "split <root>/split.p0/inputs/feed <root>/split.p0/outputs/left <root>/split.p0/outputs/right 0",
+            "split <root>/split.p0/in.feed <root>/split.p0/out.left <root>/split.p0/out.right 0",
             {"feed": "step:prep:out", "__data_manifest": manifest_source},
             {"left": "data", "right": "data"},
         ),
         (
             "split",
             1,
-            "split <root>/split.p1/inputs/feed <root>/split.p1/outputs/left <root>/split.p1/outputs/right 1",
+            "split <root>/split.p1/in.feed <root>/split.p1/out.left <root>/split.p1/out.right 1",
             {"feed": "step:prep:out", "__data_manifest": manifest_source},
             {"left": "data", "right": "data"},
         ),
         (
             "split",
             None,
-            "join <root>/split.merge/inputs/left.000 <root>/split.merge/inputs/left.001 "
-            "<root>/split.merge/inputs/right.000 <root>/split.merge/inputs/right.001 "
-            "<root>/split.merge/outputs/both",
+            "join <root>/split.merge/in.left.000 <root>/split.merge/in.left.001 "
+            "<root>/split.merge/in.right.000 <root>/split.merge/in.right.001 "
+            "<root>/split.merge/out.both",
             {
                 "left.000": "step:split:left[0]",
                 "left.001": "step:split:left[1]",
@@ -653,7 +655,7 @@ def test_task_plan_is_pinned(repo, store, run_store):
         (
             "report",
             None,
-            "report <root>/report/inputs/both <root>/report/outputs/metrics",
+            "report <root>/report/in.both <root>/report/out.metrics",
             {"both": "step:split:both", "__data_manifest": manifest_source},
             {"metrics": "result"},
         ),
@@ -861,3 +863,80 @@ def test_an_indexed_upstream_output_is_checked_before_a_downstream_task_gets_it(
     with pytest.raises(IntegrityViolationError):
         execute(graph, baseline_tuple(), executor, kind="validation", store=store, run_store=run_store)
     assert [i.key for i in executor.invocations] == ["a"]
+
+
+@pytest.mark.parametrize("count", [4, 16])
+def test_a_run_makes_one_directory_per_task_and_walks_no_tree(count, repo, store, run_store, monkeypatch):
+    blob = store.put(ArtifactKind.DATA, b"shared input\n" * 64)
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, count)))
+    tmp = repo.tmp_dir.resolve()
+    made, walked = [], []
+    original_mkdir, original_rmtree = os.mkdir, shutil.rmtree
+
+    def mkdir(path, *args, **kwargs):
+        if Path(path).is_relative_to(tmp):
+            made.append(path)
+        return original_mkdir(path, *args, **kwargs)
+
+    def rmtree(path, *args, **kwargs):
+        walked.append(path)
+        return original_rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", mkdir)
+    monkeypatch.setattr(shutil, "rmtree", rmtree)
+    record = execute(
+        graph, baseline_tuple(data_content=blob.hash), fan_executor(),
+        kind="validation", store=store, run_store=run_store, parallelism=2,
+    )
+    assert record.status == "succeeded"
+    tasks = count + 1  # the partitions and the merge
+    assert len(made) == tasks + 1  # one workdir each, and the run root
+    assert walked == []
+    assert list(repo.tmp_dir.iterdir()) == []
+
+
+class Littering(StepExecutor):
+    """Runs ``inner``, then lets ``litter(workdir, inputs)`` leave files of its own in the workdir."""
+
+    def __init__(self, inner, litter):
+        self.inner = inner
+        self.litter = litter
+
+    def run(self, command, *, inputs, outputs, env, workdir):
+        result = self.inner.run(command, inputs=inputs, outputs=outputs, env=env, workdir=workdir)
+        self.litter(workdir, inputs)
+        return result
+
+
+def leave_subdirectory(workdir, inputs):
+    nested = workdir / "scratch" / "deeper"
+    nested.mkdir(parents=True)
+    (nested / "notes.txt").write_bytes(b"left behind\n")
+
+
+def replace_input_by_directory(workdir, inputs):
+    for path in inputs.values():
+        path.unlink()
+        path.mkdir()
+        (path / "inside").write_bytes(b"left behind\n")
+
+
+@pytest.mark.parametrize("litter", [leave_subdirectory, replace_input_by_directory])
+def test_a_workdir_the_step_left_files_in_is_still_removed(litter, repo, store, run_store):
+    blob = store.put(ArtifactKind.DATA, b"shared input\n")
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 4)))
+    listings = []
+
+    def litter_then_list(workdir, inputs):
+        litter(workdir, inputs)
+        listings.append(sorted(path.name for path in workdir.parent.iterdir()))
+
+    record = execute(
+        graph, baseline_tuple(data_content=blob.hash), Littering(fan_executor(), litter_then_list),
+        kind="validation", store=store, run_store=run_store, parallelism=1,
+    )
+    assert record.status == "succeeded"
+    assert store.get(record.result_ids[0]) == b"".join(fan_line(i, b"shared input\n") for i in range(4))
+    # Each task found only its own workdir: the littered ones before it were gone.
+    assert [len(listing) for listing in listings] == [1] * 5
+    assert list(repo.tmp_dir.iterdir()) == []

@@ -108,6 +108,17 @@ def run_cycle(ws, n):
             return None
 
 
+def validation_run(ws, n):
+    """Run cycle ``n`` up to its approval; the id of its validation run."""
+    steps = ws.cycle(n)
+    argv = next(steps)
+    while argv[0] != "approve":
+        code, out, err = ca(*argv)
+        assert code == 0, err
+        argv = steps.send((code, out, err))
+    return argv[1]
+
+
 @contextmanager
 def patched_fsync(monkeypatch, fsync):
     with monkeypatch.context() as patch:
@@ -147,3 +158,36 @@ def test_init_pin_on_a_full_disk_exits_3_naming_the_file(tmp_path, monkeypatch):
         code, _, err = ca("init", "--pin", "code=c1", "--repo", repo)
     assert code == 3
     assert "error[storage-io]" in err and str(repo / "pins.json") in err
+
+
+def test_an_approval_whose_append_fails_is_not_recorded_and_the_retry_succeeds(tmp_path, monkeypatch):
+    ws = Workspace(tmp_path / "ws")
+    run_id = validation_run(ws, 1)
+    with patched_fsync(monkeypatch, FailingFsync(fail_at="always")):
+        code, _, err = ca("approve", run_id, "--by", "alice", *ws.repo)
+    assert code == 3 and "error[storage-io]" in err
+    assert ca("approve", run_id, "--by", "alice", *ws.repo)[0] == 0
+
+
+def test_a_release_whose_last_fsync_fails_is_not_recorded_and_the_retry_releases(tmp_path, monkeypatch):
+    def approved(ws):
+        run_id = validation_run(ws, 1)
+        assert ca("approve", run_id, "--by", "alice", *ws.repo)[0] == 0
+        return run_id
+
+    def release(ws, run_id):
+        return ca("release", run_id, "--flow", ws.flow, "--json", *ws.repo)
+
+    twin = Workspace(tmp_path / "twin")
+    twin_run = approved(twin)
+    with patched_fsync(monkeypatch, FailingFsync()) as counter:
+        assert release(twin, twin_run)[0] == 0
+    ws = Workspace(tmp_path / "ws")
+    run_id = approved(ws)
+    with patched_fsync(monkeypatch, FailingFsync(fail_at=counter.calls)):
+        code, _, err = release(ws, run_id)
+    assert code == 3 and "error[storage-io]" in err
+    code, out, err = release(ws, run_id)
+    assert code == 0, err
+    pins = json.loads((ws.root / ".ca" / "pins.json").read_text())
+    assert pins["main"]["last_release_run"] == json.loads(out)["run_id"]
