@@ -100,11 +100,14 @@ class _Context:
         return graph
 
 
-def _emit(args, doc: dict, human: str) -> None:
+def _emit(args, doc: dict, human: str | Callable[[], str]) -> None:
+    """Print ``doc`` under ``--json``, else the human text; a callable builds the text only when it is printed."""
     if getattr(args, "json", False):
         print(json.dumps(doc, sort_keys=True))
-    elif human:
-        print(human)
+        return
+    text = human() if callable(human) else human
+    if text:
+        print(text)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -202,12 +205,12 @@ def cmd_artifact_ls(args) -> int:
     ctx = _Context(args)
     kind = ArtifactKind(args.kind) if args.kind else None
     records = ctx.store.list(kind, _parse_labels(args.label))
-    doc = {"artifacts": [r.to_dict() for r in records]}
-    rows = [
-        [r.id.kind.value, r.id.hash[:12], str(r.size), r.media_type, r.created_at]
-        for r in records
-    ]
-    _emit(args, doc, _table(["kind", "hash", "size", "media_type", "created_at"], rows))
+
+    def human() -> str:
+        rows = [[r.id.kind.value, r.id.hash[:12], str(r.size), r.media_type, r.created_at] for r in records]
+        return _table(["kind", "hash", "size", "media_type", "created_at"], rows)
+
+    _emit(args, {"artifacts": [r.to_dict() for r in records]}, human)
     return 0
 
 
@@ -267,32 +270,42 @@ def cmd_event_emit(args) -> int:
 def cmd_run_ls(args) -> int:
     ctx = _Context(args)
     summaries = ctx.runs.summaries()
-    doc = {"runs": summaries}
-    rows = [[s["run_id"], s["kind"], s["branch"], s["status"], s["started_at"]] for s in summaries]
-    _emit(args, doc, _table(["run_id", "kind", "branch", "status", "started_at"], rows))
+
+    def human() -> str:
+        rows = [[s["run_id"], s["kind"], s["branch"], s["status"], s["started_at"]] for s in summaries]
+        return _table(["run_id", "kind", "branch", "status", "started_at"], rows)
+
+    _emit(args, {"runs": summaries}, human)
     return 0
 
 
 def cmd_run_show(args) -> int:
     ctx = _Context(args)
     record = ctx.runs.load(args.run_id)
-    doc = record.to_dict()
-    lines = [f"{k}: {v}" for k, v in record.summary().items()]
-    lines.append(f"steps: {len(record.step_outcomes)} outcome(s)")
-    _emit(args, doc, "\n".join(lines))
+
+    def human() -> str:
+        lines = [f"{k}: {v}" for k, v in record.summary().items()]
+        lines.append(f"steps: {len(record.step_outcomes)} outcome(s)")
+        return "\n".join(lines)
+
+    _emit(args, record.to_dict(), human)
     return 0
 
 
 def cmd_run_diff(args) -> int:
     ctx = _Context(args)
     comparison = compare_runs(args.run_a, args.run_b, run_store=ctx.runs, store=ctx.store)
-    rows = [[m.metric, f"{m.value_a}", f"{m.value_b}", f"{m.delta:+g}"] for m in comparison.metrics]
-    human = _table(["metric", "a", "b", "delta"], rows)
-    if comparison.tuple_diff:
-        human += "\ntuple diff:\n" + "\n".join(
-            f"  {d.component}: {d.a.version if d.a else '-'} -> {d.b.version if d.b else '-'}"
-            for d in comparison.tuple_diff
-        )
+
+    def human() -> str:
+        rows = [[m.metric, f"{m.value_a}", f"{m.value_b}", f"{m.delta:+g}"] for m in comparison.metrics]
+        text = _table(["metric", "a", "b", "delta"], rows)
+        if comparison.tuple_diff:
+            text += "\ntuple diff:\n" + "\n".join(
+                f"  {d.component}: {d.a.version if d.a else '-'} -> {d.b.version if d.b else '-'}"
+                for d in comparison.tuple_diff
+            )
+        return text
+
     _emit(args, comparison.to_dict(), human)
     return 0
 
@@ -300,12 +313,15 @@ def cmd_run_diff(args) -> int:
 def cmd_gate_eval(args) -> int:
     ctx = _Context(args)
     report = ctx.pipeline.gate_report(args.run_id)
-    rows = [
-        [r.metric, r.op, f"{r.threshold}", "-" if r.observed is None else f"{r.observed}", "yes" if r.satisfied else "no"]
-        for r in report.results
-    ]
-    human = _table(["metric", "op", "threshold", "observed", "ok"], rows)
-    human += f"\ngate: {'pass' if report.passed else 'fail'}"
+
+    def human() -> str:
+        rows = [
+            [r.metric, r.op, f"{r.threshold}", "-" if r.observed is None else f"{r.observed}", "yes" if r.satisfied else "no"]
+            for r in report.results
+        ]
+        verdict = "pass" if report.passed else "fail"
+        return _table(["metric", "op", "threshold", "observed", "ok"], rows) + f"\ngate: {verdict}"
+
     _emit(args, {"run_id": args.run_id, **report.to_dict()}, human)
     return 0 if report.passed else 1
 

@@ -34,7 +34,9 @@ class Journal:
     damaged. ``group`` optionally maps each key to a secondary key, so that
     :meth:`group` returns every key sharing it without a scan. Writers must
     hold the repository write lock around :meth:`append` and around any read
-    whose answer decides what they append.
+    whose answer decides what they append. A subclass may skip a prefix that
+    a file derived from the journal already indexes, as
+    :class:`~ca_engine.store.ArtifactIndex` does.
     """
 
     def __init__(
@@ -67,6 +69,9 @@ class Journal:
                 row = self._rows.get(key)
         return row
 
+    def __contains__(self, key: Hashable) -> bool:
+        return self.get(key) is not None
+
     def rows(self) -> dict[Hashable, dict]:
         """A snapshot of every row, first per key, in file order."""
         with self._lock:
@@ -91,11 +96,20 @@ class Journal:
         with open(self.path, "rb") as fh:
             fh.seek(self._offset)
             chunk = fh.read()
+        start = self._skippable(chunk) if self._offset == 0 else 0
         end = chunk.rfind(b"\n") + 1
-        if end:
-            self._parse(chunk[:end])
-            self._offset += end
+        if end > start:
+            try:
+                self._parse(chunk[start:end])
+            except IntegrityViolationError:
+                self._reset()  # drop the rows indexed before the bad line, so every later read raises too
+                raise
+        self._offset += end
         self._seen = self._offset + len(chunk) - end
+
+    def _skippable(self, data: bytes) -> int:
+        """How many leading bytes of the whole file ``data`` need no parse; a subclass may set ``_lines``."""
+        return 0
 
     def _parse(self, chunk: bytes) -> None:
         """Index complete lines; ``chunk`` ends with a newline.

@@ -412,14 +412,20 @@ class Pipeline:
     # -- release ---------------------------------------------------------------
 
     def run_release(self, approved_run: str, graph: FlowGraph, executor) -> RunRecord:
-        """Run the approved tuple full-scope on main; update main pins on success."""
+        """Run the approved tuple full-scope on main; update main pins on success.
+
+        The release row in ``promotions.jsonl`` is the commit point; main's
+        pins are written after it. A retry that finds the latest release row
+        but main's pins not naming it finishes the pins write and returns
+        that release.
+        """
         decision = self._decision(approved_run)
         if decision is None or decision.decision != "approved":
             raise NotApprovedError(f"run {approved_run} has no approved promotion request")
-        released = self._release_of(approved_run)
-        if released is not None:
-            raise AlreadyReleasedError(f"run {approved_run} was already released as {released}")
         validation = self.run_store.load(approved_run)
+        if self._release_of(approved_run) is not None:
+            with self.repo.write_lock():
+                return self._finish_release(approved_run, validation)
         release = self._run(
             validation.tuple,
             graph,
@@ -435,17 +441,36 @@ class Pipeline:
         with self.repo.write_lock():
             if self._release_of(approved_run) is not None:
                 raise AlreadyReleasedError(f"run {approved_run} was released concurrently")
-            table = self._load_pins()
-            entry = table.get(MAIN_BRANCH) or BranchPins(MAIN_BRANCH)
-            entry.pins = {pin.component: pin for pin in validation.tuple}
-            entry.last_release_run = release.run_id
-            entry.result_refs = list(release.result_ids)
-            table[MAIN_BRANCH] = entry
-            self._save_pins(table)
             self._promotions.append(
                 [{"type": "release", "run_id": approved_run, "release_run_id": release.run_id, "at": utc_now_iso()}]
             )
+            self._point_main_at(validation, release)
         return release
+
+    def _finish_release(self, approved_run: str, validation: RunRecord) -> RunRecord:
+        """The recorded release of ``approved_run``, once main's pins name it; the caller holds the write lock.
+
+        Only the latest release may still be missing from main's pins: an
+        earlier one was superseded, so it counts as released.
+        """
+        released = self._release_of(approved_run)
+        latest = next(row for (kind, _), row in reversed(self._promotions.rows().items()) if kind == "release")
+        main = self._load_pins().get(MAIN_BRANCH)
+        if latest["run_id"] != approved_run or (main is not None and main.last_release_run == released):
+            raise AlreadyReleasedError(f"run {approved_run} was already released as {released}")
+        release = self.run_store.load(released)
+        self._point_main_at(validation, release)
+        return release
+
+    def _point_main_at(self, validation: RunRecord, release: RunRecord) -> None:
+        """Set main's pins to the released tuple and its results; the caller holds the write lock."""
+        table = self._load_pins()
+        entry = table.get(MAIN_BRANCH) or BranchPins(MAIN_BRANCH)
+        entry.pins = {pin.component: pin for pin in validation.tuple}
+        entry.last_release_run = release.run_id
+        entry.result_refs = list(release.result_ids)
+        table[MAIN_BRANCH] = entry
+        self._save_pins(table)
 
 
 def make_event(

@@ -1,10 +1,10 @@
 """Repository layout and the single-writer advisory lock.
 
 All engine state lives under one directory (conventionally ``.ca/``):
-``objects/`` and ``index.jsonl`` for the artifact store, ``runs/``,
-``runs.jsonl`` and ``counters.json`` for run records,
-``events.jsonl``/``pins.json``/``promotions.jsonl`` for the pipeline,
-``lineage.jsonl`` for provenance edges, plus ``config.json`` and
+``objects/`` and ``index.jsonl`` for the artifact store, with ``index.idx``
+derived from the index, ``runs/``, ``runs.jsonl`` and ``counters.json`` for
+run records, ``events.jsonl``/``pins.json``/``promotions.jsonl`` for the
+pipeline, ``lineage.jsonl`` for provenance edges, plus ``config.json`` and
 ``gates.json``.
 
 Writers serialize through ``write_lock()``: an in-process mutex combined
@@ -57,6 +57,10 @@ class Repository:
     @property
     def index_path(self) -> Path:
         return self.root / "index.jsonl"
+
+    @property
+    def index_keys_path(self) -> Path:
+        return self.root / "index.idx"
 
     @property
     def runs_journal_path(self) -> Path:

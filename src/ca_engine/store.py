@@ -10,13 +10,18 @@ An index row is the commit point of an artifact. Object files are written
 through a temp file and a rename and made durable before their rows are
 appended, so an object file whose hash has no index row is not part of the
 store: writes replace it rather than trust it.
+
+``index.idx`` is a key file derived from the index (see :class:`ArtifactIndex`):
+never fsynced, trusted only while its digests match, and rebuilt by writers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import shutil
+import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,7 +32,7 @@ from typing import Iterable, Mapping
 from .errors import IntegrityViolationError, NotFoundError, StorageError
 from .journal import Journal
 from .repo import Repository
-from .util import append_line  # noqa: F401  (the benchmark's tracer patches this binding)
+from .util import append_line  # noqa: F401  (bench/tests/test_bench.py reads this binding)
 from .util import atomic_write_bytes, fsync_file, utc_now_iso
 
 HEX64_RE = re.compile(r"[0-9a-f]{64}")
@@ -108,29 +113,250 @@ class ArtifactRecord:
         )
 
 
-_KINDS = frozenset(kind.value for kind in ArtifactKind)
+_KIND_NAMES = tuple(kind.value for kind in ArtifactKind)
+_KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}  # a kind's byte in the key file
 
 
 def _index_key(row: dict) -> tuple[str, str]:
     """Validate an index row's kind and hash; its record is built only on demand."""
     kind, digest = row["kind"], row["hash"]
-    if kind not in _KINDS or not (isinstance(digest, str) and HEX64_RE.fullmatch(digest)):
+    if kind not in _KIND_CODES or not (isinstance(digest, str) and HEX64_RE.fullmatch(digest)):
         raise ValueError(f"bad artifact id {kind!r}:{digest!r}")
     return kind, digest
+
+
+# Uncovered index bytes at which a writer rewrites the key file.
+KEY_FILE_SLACK = 32 * 1024
+
+# index.idx: header, records sorted by (hash, line), then the SHA-256 of both.
+_KEYS_HEADER = struct.Struct(">8sQQ32s")  # magic, covered bytes, covered lines, SHA-256 of the covered bytes
+_KEYS_MAGIC = b"caidx\x00\x00\x01"  # the last byte is the format version
+_KEYS_RECORD = struct.Struct(">32sIBQ")  # hash, line number, kind code, offset of the line
+
+
+class _KeyFile:
+    """A key file whose digests hold: the first record of each key in ``data[:size]``."""
+
+    def __init__(self, records: bytes, data: bytes, size: int, lines: int, digest: bytes):
+        self.records = records
+        self.data = data
+        self.size = size
+        self.lines = lines
+        self.digest = digest
+
+    @classmethod
+    def load(cls, path: Path, data: bytes) -> "_KeyFile | None":
+        """The key file at ``path`` if it is intact and covers a prefix of ``data`` ending in a newline."""
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None
+        body = memoryview(raw)[:-32]
+        if (
+            len(raw) < _KEYS_HEADER.size + 32
+            or (len(body) - _KEYS_HEADER.size) % _KEYS_RECORD.size
+            or hashlib.sha256(body).digest() != raw[-32:]
+        ):
+            return None
+        magic, size, lines, digest = _KEYS_HEADER.unpack_from(raw)
+        if (
+            magic != _KEYS_MAGIC
+            or not 0 < size <= len(data)
+            or data[size - 1] != ord("\n")
+            or hashlib.sha256(memoryview(data)[:size]).digest() != digest
+        ):
+            return None
+        return cls(raw[_KEYS_HEADER.size : -32], data, size, lines, digest)
+
+    def first(self, digest: str) -> list[tuple[str, int, int]]:
+        """(kind, line, offset) of each key with this hash, in line order, found by bisection."""
+        if not HEX64_RE.fullmatch(digest):
+            return []
+        target = bytes.fromhex(digest)
+        records, width = self.records, _KEYS_RECORD.size
+        lo, hi = 0, len(records) // width
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if records[mid * width : mid * width + 32] < target:
+                lo = mid + 1
+            else:
+                hi = mid
+        found = []
+        for at in range(lo * width, len(records), width):
+            value, line, code, offset = _KEYS_RECORD.unpack_from(records, at)
+            if value != target:
+                break
+            found.append((_KIND_NAMES[code], line, offset))
+        return found
+
+    @staticmethod
+    def build(data: bytes, old: "_KeyFile | None") -> bytes:
+        """Key file bytes covering every complete line of ``data``.
+
+        The records of ``old`` are reused while its covered bytes still hash
+        to its digest; every other line is decoded here. Raises
+        ``ValueError``, ``KeyError`` or ``TypeError`` on a line that does not
+        decode to an index row.
+        """
+        end = data.rfind(b"\n") + 1
+        view = memoryview(data)
+        if old is not None and (old.size > end or hashlib.sha256(view[: old.size]).digest() != old.digest):
+            old = None
+        start = line = 0
+        records: list[bytes] = []
+        seen: set[tuple[bytes, int]] = set()
+        if old is not None:
+            start, line, width = old.size, old.lines, _KEYS_RECORD.size
+            records = [old.records[at : at + width] for at in range(0, len(old.records), width)]
+            seen = {(value, code) for value, _, code, _ in _KEYS_RECORD.iter_unpack(old.records)}
+        offset = start
+        for raw in data[start:end].split(b"\n")[:-1]:
+            line += 1
+            if raw.strip():
+                kind, digest = _index_key(json.loads(raw.decode("utf-8")))
+                key = (bytes.fromhex(digest), _KIND_CODES[kind])
+                if key not in seen:
+                    seen.add(key)
+                    records.append(_KEYS_RECORD.pack(key[0], line, key[1], offset))
+            offset += len(raw) + 1
+        records.sort()
+        body = _KEYS_HEADER.pack(_KEYS_MAGIC, end, line, hashlib.sha256(view[:end]).digest()) + b"".join(records)
+        return body + hashlib.sha256(body).digest()
+
+
+class ArtifactIndex(Journal):
+    """``index.jsonl`` keyed by (kind value, hash) and grouped by hash, with a key file.
+
+    The key file (``index.idx``) holds, for a prefix of the index, the first
+    row of each key as a fixed-width record pointing at its line, sorted by
+    (hash, line), with the prefix's length, line count and SHA-256 and a
+    digest of the key file itself. A reader uses it only when both digests
+    hold and the prefix ends with a newline: point lookups then bisect the
+    records and decode only the lines they return, plus the lines after the
+    prefix. Otherwise the whole index is parsed, so damage anywhere in it is
+    reported as in any journal. :meth:`rows` always parses every line.
+
+    Readers never write the key file. A writer whose append leaves at least
+    ``KEY_FILE_SLACK`` bytes uncovered rewrites it under the write lock it
+    holds, without fsync and ignoring errors: the file is derived, so losing
+    or damaging it costs only speed.
+    """
+
+    def __init__(self, path: Path, keys_path: Path):
+        self.keys_path = keys_path
+        self._use_keys = True
+        super().__init__(path, _index_key, group=lambda key: key[1])
+
+    def _reset(self) -> None:
+        super()._reset()
+        self._keys: _KeyFile | None = None
+        self._found: dict[str, list[tuple[str, int, int]]] = {}  # bisection results by hash
+        self._indexed = 0  # bytes covered by the newest key file this journal read or wrote
+
+    def _skippable(self, data: bytes) -> int:
+        keys = _KeyFile.load(self.keys_path, data) if self._use_keys else None
+        if keys is None:
+            return 0
+        self._keys, self._lines, self._indexed = keys, keys.lines, keys.size
+        return keys.size
+
+    @property
+    def covered(self) -> int:
+        """Bytes of the index answered from the key file; 0 when it is not used."""
+        with self._lock:
+            self._catch_up()
+            return self._keys.size if self._keys is not None else 0
+
+    def _first(self, digest: str) -> list[tuple[str, int, int]]:
+        """(kind, line, offset) of the covered keys with this hash; the caller holds the lock."""
+        if self._keys is None:
+            return []
+        found = self._found.get(digest)
+        if found is None:
+            found = self._found[digest] = self._keys.first(digest)
+        return found
+
+    def _covered_line(self, key: tuple[str, str]) -> tuple[int, int] | None:
+        """(line, offset) of the key's first row when the key file covers it; the caller holds the lock."""
+        for kind, line, offset in self._first(key[1]):
+            if kind == key[0]:
+                return line, offset
+        return None
+
+    def _locate(self, key: tuple[str, str]) -> tuple[int, int] | None:
+        """:meth:`_covered_line`, catching up first unless the key is covered or parsed.
+
+        Covered and parsed rows never change, so a hit costs no ``stat``.
+        """
+        found = self._covered_line(key)
+        if found is None and key not in self._rows:
+            self._catch_up()
+            found = self._covered_line(key)
+        return found
+
+    def get(self, key: tuple[str, str]) -> dict | None:
+        with self._lock:
+            found = self._locate(key)
+            if found is None:
+                return self._rows.get(key)
+            line, offset = found
+            data = self._keys.data
+            try:
+                row = json.loads(data[offset : data.index(b"\n", offset)])
+                if self._key(row) == key:
+                    return row
+            except (KeyError, TypeError, ValueError):
+                pass
+            raise self._corrupt(line, f"is not the row {self.keys_path.name} points at")
+
+    def __contains__(self, key: tuple[str, str]) -> bool:
+        with self._lock:
+            return self._locate(key) is not None or key in self._rows
+
+    def group(self, value: str) -> list[tuple[str, str]]:
+        with self._lock:
+            self._catch_up()
+            first = [(kind, value) for kind, _, _ in self._first(value)]
+            return first + [key for key in self._groups.get(value, ()) if key not in first]
+
+    def rows(self) -> dict[tuple[str, str], dict]:
+        with self._lock:
+            self._use_keys = False
+            if self._keys is not None:
+                self._reset()
+        return super().rows()
+
+    def append(self, rows: Iterable[dict]) -> None:
+        super().append(rows)
+        if self._offset - self._indexed >= KEY_FILE_SLACK:
+            self.write_keys()
+
+    def write_keys(self) -> None:
+        """Rewrite the key file to cover every complete line; the caller holds the write lock.
+
+        Errors are ignored: readers then keep parsing what is left uncovered.
+        """
+        with self._lock:
+            try:
+                data = self.path.read_bytes()
+                atomic_write_bytes(self.keys_path, _KeyFile.build(data, self._keys), durable=False)
+            except (OSError, StorageError, KeyError, TypeError, ValueError):
+                return
+            self._indexed = data.rfind(b"\n") + 1
 
 
 class ArtifactStore:
     """Append-only artifact store over a repository directory.
 
     Reads are lock-free; writes serialize through the repository write lock.
-    ``index.jsonl`` is a :class:`Journal` keyed by (kind value, hash) and
-    grouped by hash; nothing is read until the first query.
+    ``index.jsonl`` is an :class:`ArtifactIndex`; nothing is read until the
+    first query.
     """
 
     def __init__(self, repo: Repository):
         repo.require()
         self._repo = repo
-        self._index = Journal(repo.index_path, _index_key, group=lambda key: key[1])
+        self._index = ArtifactIndex(repo.index_path, repo.index_keys_path)
 
     # -- internals ---------------------------------------------------------
 
@@ -138,7 +364,7 @@ class ArtifactStore:
         return self._repo.objects_dir / digest[:2] / digest[2:]
 
     def _lookup(self, artifact_id: ArtifactId) -> None:
-        if self._index.get((artifact_id.kind.value, artifact_id.hash)) is None:
+        if (artifact_id.kind.value, artifact_id.hash) not in self._index:
             raise NotFoundError(f"artifact {artifact_id} not in index")
 
     # -- operations ----------------------------------------------------------
@@ -318,7 +544,7 @@ class WriteBatch:
         digest = sha256_hex(data)
         artifact_id = ArtifactId(kind, digest)
         key = (kind.value, digest)
-        if store._index.get(key) is not None:
+        if key in store._index:
             return artifact_id
         with self._lock:
             self._records.setdefault(key, ArtifactRecord(artifact_id, len(data), media_type, utc_now_iso(), labels))
@@ -358,6 +584,6 @@ class WriteBatch:
             for digest in sorted(self._written):
                 fsync_file(store.object_path(digest))
             # Another writer may have indexed some of them since they were staged.
-            rows = [record.to_dict() for key, record in self._records.items() if store._index.get(key) is None]
+            rows = [record.to_dict() for key, record in self._records.items() if key not in store._index]
             store._index.append(rows)
         self._records.clear()

@@ -9,6 +9,7 @@ hex chars of the tuple hash with a persisted, strictly increasing sequence.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -308,6 +309,19 @@ def _summary_key(row: dict) -> tuple[str, str]:
     return summary["run_id"], digest
 
 
+def _read_record(path: str) -> bytes:
+    """A record file's bytes, with one unbuffered read of its whole size.
+
+    Records are replaced by a rename, never changed in place, so the size
+    taken from the open file holds for the read.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
+
 class RunStore:
     """Mints run ids and persists run records under ``runs/``.
 
@@ -411,16 +425,19 @@ class RunStore:
         :meth:`load` would.
         """
         summaries = []
-        for path in self.repo.runs_dir.glob("*.json"):
-            try:
-                payload = path.read_bytes()
-            except FileNotFoundError:
-                continue
-            row = self._summaries.get((path.stem, sha256_hex(payload)))
-            if row is None:
-                summaries.append(decode_state(path, payload, RunRecord.from_dict).summary())
-            else:
-                summaries.append(row["summary"])
+        with os.scandir(self.repo.runs_dir) as entries:
+            for entry in entries:
+                if entry.name.startswith(".") or not entry.name.endswith(".json"):
+                    continue
+                try:
+                    payload = _read_record(entry.path)
+                except FileNotFoundError:
+                    continue
+                row = self._summaries.get((entry.name[: -len(".json")], sha256_hex(payload)))
+                if row is None:
+                    summaries.append(decode_state(self.repo.runs_dir / entry.name, payload, RunRecord.from_dict).summary())
+                else:
+                    summaries.append(row["summary"])
         summaries.sort(key=lambda s: (s["started_at"], s["run_id"]))
         return summaries
 

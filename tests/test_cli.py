@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ca_engine import cli
 from ca_engine.cli import COMMANDS, _Context, build_parser, leaf_parser, main, parse_args
 from ca_engine.lineage import LineageLog
 from ca_engine.repo import Repository
@@ -557,3 +558,14 @@ def test_journal_row_missing_a_field_exits_3_naming_the_file(journal, row_type, 
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "integrity-violation" in err and f"{path}: line {line}:" in err
+
+
+def test_json_output_builds_no_human_table(one_step, capsys, monkeypatch):
+    repo, flow_run = one_step
+    assert main(flow_run) == 0
+    run_id = read_json(capsys)["run_id"]
+    repo_args = ["--repo", str(repo)]
+    monkeypatch.setattr(cli, "_table", lambda *a: pytest.fail("a table was built for --json"))
+    for argv in (["run", "ls"], ["artifact", "ls"], ["gate", "eval", run_id]):
+        assert main([*argv, "--json", *repo_args]) == 0, argv
+        read_json(capsys)

@@ -70,3 +70,12 @@ def test_one_pass_decode_matches_a_per_line_loop(lines, cut):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("".join(line + "\n" for line in lines[cut:]))
         check(journal, reference(lines))
+
+
+def test_a_read_that_hits_a_bad_line_leaves_no_row_readable(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id":1}\n{not json\n', encoding="utf-8")
+    journal = Journal(path, by_id)
+    for _ in range(2):
+        with pytest.raises(IntegrityViolationError, match=r"\.jsonl: line 2:"):
+            journal.get(1)

@@ -20,6 +20,7 @@ import os
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 from ca_engine.cli import main
+from ca_engine.pipeline import Pipeline
 
 FLOW = {
     "steps": [
@@ -191,3 +192,85 @@ def test_a_release_whose_last_fsync_fails_is_not_recorded_and_the_retry_releases
     assert code == 0, err
     pins = json.loads((ws.root / ".ca" / "pins.json").read_text())
     assert pins["main"]["last_release_run"] == json.loads(out)["run_id"]
+
+
+def release_faults(tmp_path, monkeypatch):
+    """The fsync numbers, within ``ca release``, of the release row's append and of the pins write.
+
+    Counted on a twin workspace: the pins fsync is the first one after
+    ``Pipeline._save_pins`` is entered, the row's the one before it.
+    """
+    twin = Workspace(tmp_path / "twin")
+    run_id = validation_run(twin, 1)
+    assert ca("approve", run_id, "--by", "alice", *twin.repo)[0] == 0
+    seen = []
+    save_pins = Pipeline._save_pins
+    with patched_fsync(monkeypatch, FailingFsync()) as counter, monkeypatch.context() as patch:
+        patch.setattr(Pipeline, "_save_pins", lambda self, pins: (seen.append(counter.calls), save_pins(self, pins)))
+        assert ca("release", run_id, "--flow", twin.flow, *twin.repo)[0] == 0
+    (before_pins,) = seen
+    return {"release-row": before_pins, "pins": before_pins + 1}
+
+
+def released_rows(ws):
+    return [row for row in journal(ws, "promotions.jsonl") if row["type"] == "release"]
+
+
+def journal(ws, name):
+    text = (ws.root / ".ca" / name).read_text()
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def main_pins(ws):
+    return json.loads((ws.root / ".ca" / "pins.json").read_text())["main"]
+
+
+def test_a_release_whose_pins_write_fails_is_finished_by_the_retry(tmp_path, monkeypatch):
+    fault = release_faults(tmp_path, monkeypatch)["pins"]
+    ws = Workspace(tmp_path / "ws")
+    run_id = validation_run(ws, 1)
+    assert ca("approve", run_id, "--by", "alice", *ws.repo)[0] == 0
+    before = main_pins(ws)
+    with patched_fsync(monkeypatch, FailingFsync(fail_at=fault)):
+        code, _, err = ca("release", run_id, "--flow", ws.flow, "--json", *ws.repo)
+    assert code == 3 and "error[storage-io]" in err and "pins.json" in err
+    (row,) = released_rows(ws)
+    assert main_pins(ws) == before
+    runs = sorted(p.name for p in (ws.root / ".ca" / "runs").iterdir())
+
+    code, out, err = ca("release", run_id, "--flow", ws.flow, "--json", *ws.repo)
+    assert code == 0, err
+    assert json.loads(out)["run_id"] == row["release_run_id"]
+    assert sorted(p.name for p in (ws.root / ".ca" / "runs").iterdir()) == runs
+    assert main_pins(ws)["last_release_run"] == row["release_run_id"]
+    code, _, err = ca("release", run_id, "--flow", ws.flow, *ws.repo)
+    assert code == 1 and "already-released" in err
+
+
+def test_a_release_whose_row_append_fails_leaves_main_unchanged(tmp_path, monkeypatch):
+    fault = release_faults(tmp_path, monkeypatch)["release-row"]
+    ws = Workspace(tmp_path / "ws")
+    run_id = validation_run(ws, 1)
+    assert ca("approve", run_id, "--by", "alice", *ws.repo)[0] == 0
+    before = main_pins(ws)
+    with patched_fsync(monkeypatch, FailingFsync(fail_at=fault)):
+        code, _, err = ca("release", run_id, "--flow", ws.flow, *ws.repo)
+    assert code == 3 and "error[storage-io]" in err and "promotions.jsonl" in err
+    assert released_rows(ws) == [] and main_pins(ws) == before
+
+
+def test_an_unfinished_release_that_a_later_one_superseded_is_not_finished(tmp_path, monkeypatch):
+    fault = release_faults(tmp_path, monkeypatch)["pins"]
+    ws = Workspace(tmp_path / "ws")
+    first = validation_run(ws, 1)
+    assert ca("approve", first, "--by", "alice", *ws.repo)[0] == 0
+    with patched_fsync(monkeypatch, FailingFsync(fail_at=fault)):
+        assert ca("release", first, "--flow", ws.flow, *ws.repo)[0] == 3
+    second = validation_run(ws, 2)
+    code, out, err = ca("approve", second, "--by", "alice", "--auto-release", "--flow", ws.flow, "--json", *ws.repo)
+    assert code == 0, err
+    latest = json.loads(out)["release"]["run_id"]
+
+    code, _, err = ca("release", first, "--flow", ws.flow, *ws.repo)
+    assert code == 1 and "already-released" in err
+    assert main_pins(ws)["last_release_run"] == latest
