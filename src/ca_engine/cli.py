@@ -415,6 +415,13 @@ def _arg(*names: str, **kwargs) -> tuple[tuple, dict]:
     return names, kwargs
 
 
+# ``--repo``, ``--json`` and ``--parallelism``, accepted after every command.
+COMMON_OPTIONS = (
+    _arg("--repo", help="repository directory (default ./.ca or $CA_REPO)"),
+    _arg("--json", action="store_true", help="emit one JSON document on stdout"),
+    _arg("--parallelism", type=int, help="max concurrent flow steps"),
+)
+
 _KINDS = [k.value for k in ArtifactKind]
 
 GROUPS = {
@@ -426,7 +433,7 @@ GROUPS = {
     "lineage": "provenance queries",
 }
 
-# The single source of both parsers; the order is the order of ``ca --help``.
+# The single source of argparse's parser and of :func:`_read_argv`; the order is the order of ``ca --help``.
 COMMANDS = (
     Command(("init",), "create the repository skeleton", cmd_init, (
         _arg("--pin", action="append", metavar="COMPONENT=VERSION[@HASH]", help="seed a main branch pin"),
@@ -489,9 +496,8 @@ COMMANDS = (
 
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--repo", help="repository directory (default ./.ca or $CA_REPO)")
-    common.add_argument("--json", action="store_true", help="emit one JSON document on stdout")
-    common.add_argument("--parallelism", type=int, help="max concurrent flow steps")
+    for names, kwargs in COMMON_OPTIONS:
+        common.add_argument(*names, **kwargs)
     return common
 
 
@@ -523,24 +529,91 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def leaf_parser(command: Command) -> argparse.ArgumentParser:
-    """The parser of one command alone, equal to its subparser in :func:`build_parser`."""
-    parser = argparse.ArgumentParser(prog=" ".join(("ca", *command.path)), parents=[_common_options()])
-    return _add_arguments(parser, command)
+# Spec keywords :func:`_read_argv` models; a command with any other is left to argparse.
+_MODELED = frozenset({"action", "choices", "default", "help", "metavar", "nargs", "required", "type"})
+
+
+def _read_argv(command: Command, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse returns for ``argv`` (the words after the command's path), read from the specs.
+
+    Returns None for anything it does not model: an unknown, abbreviated or
+    attached short option, ``-h``, ``--``, a missing value or one starting
+    with ``-``, a failed ``type`` or ``choices`` check, a missing required
+    argument, an extra positional, or a spec keyword outside ``_MODELED``.
+    """
+    options: dict[str, tuple[str, dict]] = {}
+    positionals: list[tuple[str, dict]] = []
+    values: dict[str, object] = {"func": command.func}
+    required: set[str] = set()
+    for names, kwargs in (*COMMON_OPTIONS, *command.args):
+        action = kwargs.get("action")
+        if (
+            not kwargs.keys() <= _MODELED
+            or action not in (None, "store_true", "append")
+            or ("type" in kwargs and isinstance(kwargs.get("default"), str))
+        ):
+            return None
+        if names[0].startswith("-"):
+            if "nargs" in kwargs:
+                return None
+            dest = next((n for n in names if n.startswith("--")), names[0]).lstrip("-").replace("-", "_")
+            options.update(dict.fromkeys(names, (dest, kwargs)))
+            if kwargs.get("required"):
+                required.add(dest)
+        else:
+            # Only the last positional may be optional, and only as nargs="?".
+            if action or kwargs.get("nargs", "?") != "?" or (positionals and "nargs" in positionals[-1][1]):
+                return None
+            dest = names[0]
+            positionals.append((dest, kwargs))
+            if "nargs" not in kwargs:
+                required.add(dest)
+        values[dest] = kwargs.get("default", False if action == "store_true" else None)
+    tokens = iter(argv)
+    pending = iter(positionals)
+    for token in tokens:
+        if token.startswith("-") and token != "-":
+            name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+            if name not in options:
+                return None
+            dest, kwargs = options[name]
+            if kwargs.get("action") == "store_true":
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        else:
+            dest, kwargs = next(pending, (None, None))
+            if dest is None:
+                return None
+            value = token
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = [*(values[dest] or ()), value] if kwargs.get("action") == "append" else value
+        required.discard(dest)
+    if required:
+        return None
+    return argparse.Namespace(**values)
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the invoked command's parser when argv starts with one.
+    """Read well-formed argv from the command table; build argparse only for anything else.
 
-    Top-level flags, groups without a command, unknown commands and leftover
-    arguments go to the full parser, so help, errors and exit codes match it.
+    The full parser then prints help, the version and usage errors and sets
+    the exit code, so they are argparse's own.
     """
     command = next((c for c in COMMANDS if tuple(argv[: len(c.path)]) == c.path), None)
-    if command is not None:
-        args, extra = leaf_parser(command).parse_known_args(argv[len(command.path) :])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    args = _read_argv(command, argv[len(command.path) :]) if command is not None else None
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

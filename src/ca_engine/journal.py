@@ -24,6 +24,8 @@ from typing import Callable, Hashable, Iterable, Iterator
 from .errors import IntegrityViolationError, InvalidTupleError
 from .util import append_line, canonical_json
 
+_TAIL_BLOCK = 1 << 16  # bytes read per step when an append looks back for the last newline
+
 
 class Journal:
     """One append-only JSONL file indexed by ``key(row)``.
@@ -84,13 +86,18 @@ class Journal:
             self._catch_up()
             return list(self._groups.get(value, ()))
 
-    def _catch_up(self) -> None:
+    def _size(self) -> int:
+        """The file's size, 0 when it is missing; a file that shrank resets the parse state."""
         try:
             size = os.stat(self.path).st_size
         except FileNotFoundError:
             size = 0
         if size < self._offset:
             self._reset()
+        return size
+
+    def _catch_up(self) -> None:
+        size = self._size()
         if size == self._seen:
             return
         with open(self.path, "rb") as fh:
@@ -162,18 +169,46 @@ class Journal:
     # -- writing -------------------------------------------------------------
 
     def append(self, rows: Iterable[dict]) -> None:
-        """Durably append rows with one write and one fsync; the caller holds the write lock."""
+        """Durably append rows with one write and one fsync; the caller holds the write lock.
+
+        A journal that has read the whole file indexes the rows without
+        reading them back. Any other parses nothing: it finds the end of the
+        file's last complete line by reading back from the end, and its next
+        read parses the new rows with the rest.
+        """
         keyed = [(self._key(row), row) for row in rows]
+        if keyed:
+            with self._lock:
+                self._write(keyed, self._size())
+
+    def _write(self, keyed: list[tuple[Hashable, dict]], size: int) -> None:
+        """Append keyed rows to the file, now ``size`` bytes long; the caller holds both locks."""
         if not keyed:
             return
         text = "\n".join(canonical_json(row) for _, row in keyed)
-        with self._lock:
-            self._catch_up()
-            torn = self._seen > self._offset
-            append_line(self.path, text, truncate_to=self._offset if torn else None)
-            # Under the write lock the file now ends with exactly these rows,
-            # so index them without reading them back.
-            for key, row in keyed:
-                self._insert(key, row)
-            self._lines += len(keyed)
-            self._offset = self._seen = self._offset + len(text.encode("utf-8")) + 1
+        current = size == self._seen
+        end = self._offset if current else self._line_end(size)
+        append_line(self.path, text, truncate_to=end if size > end else None)
+        if not current:
+            self._seen = self._offset  # forget a torn tail it saw: the file past the offset changed
+            return
+        # Under the write lock the file now ends with exactly these rows.
+        for key, row in keyed:
+            self._insert(key, row)
+        self._lines += len(keyed)
+        self._offset = self._seen = end + len(text.encode("utf-8")) + 1
+
+    def _line_end(self, size: int) -> int:
+        """The offset after the last newline in the first ``size`` bytes, read back from there to the parsed offset."""
+        end = size
+        if end <= self._offset:
+            return self._offset
+        with open(self.path, "rb") as fh:
+            while end > self._offset:
+                start = max(self._offset, end - _TAIL_BLOCK)
+                fh.seek(start)
+                newline = fh.read(end - start).rfind(b"\n")
+                if newline >= 0:
+                    return start + newline + 1
+                end = start
+        return self._offset

@@ -190,16 +190,13 @@ def subset_select(dataset_manifest: Sequence[str], fraction: float, seed: int) -
     if not (0 < fraction <= 1):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     threshold = round(fraction * 10**6)
-    scored = []
-    for index, item in enumerate(dataset_manifest):
-        digest = hashlib.sha256(f"{seed}:{item}".encode("utf-8")).digest()
-        bucket = int.from_bytes(digest[:8], "big") % 10**6
-        scored.append((index, item, bucket))
-    kept = [(i, item) for i, item, bucket in scored if bucket < threshold]
-    if not kept:
-        i, item, _ = min(scored, key=lambda row: (row[2], row[0]))
-        kept = [(i, item)]
-    return [item for _, item in sorted(kept)]
+    prefix = f"{seed}:"
+
+    def bucket(item: str) -> int:
+        return int.from_bytes(hashlib.sha256((prefix + item).encode("utf-8")).digest()[:8], "big") % 10**6
+
+    # ``min`` returns the first of equal buckets, the smallest index.
+    return [item for item in dataset_manifest if bucket(item) < threshold] or [min(dataset_manifest, key=bucket)]
 
 
 class Pipeline:

@@ -327,7 +327,16 @@ class ArtifactIndex(Journal):
         return super().rows()
 
     def append(self, rows: Iterable[dict]) -> None:
-        super().append(rows)
+        """Append the rows whose key has none yet, after one catch-up; the caller holds the write lock.
+
+        Under that lock the index cannot grow, so the keys are tested without
+        another ``stat`` and the append writes at the size the catch-up saw.
+        """
+        keyed = [(self._key(row), row) for row in rows]
+        with self._lock:
+            self._catch_up()
+            missing = [(key, row) for key, row in keyed if self._covered_line(key) is None and key not in self._rows]
+            self._write(missing, self._seen)
         if self._offset - self._indexed >= KEY_FILE_SLACK:
             self.write_keys()
 
@@ -584,6 +593,5 @@ class WriteBatch:
             for digest in sorted(self._written):
                 fsync_file(store.object_path(digest))
             # Another writer may have indexed some of them since they were staged.
-            rows = [record.to_dict() for key, record in self._records.items() if key not in store._index]
-            store._index.append(rows)
+            store._index.append([record.to_dict() for record in self._records.values()])
         self._records.clear()

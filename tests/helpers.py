@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 
 from ca_engine.flow.executors import ScriptedResult, StepExecutor, scripted
 from ca_engine.store import ArtifactKind, sha256_hex
 from ca_engine.tuples import ArtifactVersionTuple, RunRecord, StepOutcome, VersionPin
-from ca_engine.util import utc_now_iso
+from ca_engine.util import append_line, canonical_json, utc_now_iso
 
 
 def baseline_tuple(code="c1", data="x1", dependencies="d1", deployment="y1", data_content=None, extra=None):
@@ -241,3 +242,34 @@ def journal_rows(path):
     assert raw.endswith(b"\n")
     return [json.loads(line) for line in raw.splitlines()]
 
+
+
+def subset_select_reference(dataset_manifest, fraction, seed):
+    """``pipeline.subset_select`` as first written: (index, item, bucket) tuples, then a sort."""
+    threshold = round(fraction * 10**6)
+    scored = []
+    for index, item in enumerate(dataset_manifest):
+        digest = hashlib.sha256(f"{seed}:{item}".encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:8], "big") % 10**6
+        scored.append((index, item, bucket))
+    kept = [(i, item) for i, item, bucket in scored if bucket < threshold]
+    if not kept:
+        i, item, _ = min(scored, key=lambda row: (row[2], row[0]))
+        kept = [(i, item)]
+    return [item for _, item in sorted(kept)]
+
+
+def catch_up_append(journal, rows) -> None:
+    """``Journal.append`` as first written: parse the whole file, then append and index the rows."""
+    keyed = [(journal._key(row), row) for row in rows]
+    if not keyed:
+        return
+    text = "\n".join(canonical_json(row) for _, row in keyed)
+    with journal._lock:
+        journal._catch_up()
+        torn = journal._seen > journal._offset
+        append_line(journal.path, text, truncate_to=journal._offset if torn else None)
+        for key, row in keyed:
+            journal._insert(key, row)
+        journal._lines += len(keyed)
+        journal._offset = journal._seen = journal._offset + len(text.encode("utf-8")) + 1

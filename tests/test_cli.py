@@ -4,9 +4,11 @@ import argparse
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ca_engine import cli
-from ca_engine.cli import COMMANDS, _Context, build_parser, leaf_parser, main, parse_args
+from ca_engine.cli import COMMANDS, _Context, build_parser, main, parse_args
 from ca_engine.lineage import LineageLog
 from ca_engine.repo import Repository
 from ca_engine.store import ArtifactStore
@@ -411,20 +413,6 @@ def test_garbled_index_line_exits_3_only_for_commands_that_read_the_index(ws, ca
     assert main(["lineage", "provenance", output, *repo_args]) == 0
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
-
-
-def test_leaf_parser_help_equals_full_parser_subcommand_help():
-    full = build_parser()
-    for command in COMMANDS:
-        parser = full
-        for word in command.path:
-            parser = _subcommands(parser)[word]
-        assert leaf_parser(command).format_help() == parser.format_help(), command.path
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -437,6 +425,13 @@ def test_leaf_parser_help_equals_full_parser_subcommand_help():
         ["event", "emit", "--source", "data"],
         ["artifact", "put", "blob", "--kind", "nope"],
         ["run", "show", "r1", "--bogus"],
+        ["run", "show", "--par", "2"],
+        ["release", "--flow=f.json"],
+        ["artifact", "get", "-ofile"],
+        ["run", "ls", "--"],
+        ["run", "show", "r1", "-h"],
+        ["run", "show", "--parallelism", "-1"],
+        ["approve", "r1", "--by"],
     ],
 )
 def test_main_parses_like_the_full_parser(argv, capsys):
@@ -447,6 +442,76 @@ def test_main_parses_like_the_full_parser(argv, capsys):
     want = capsys.readouterr()
     assert (code, got.out, got.err) == (exc.value.code, want.out, want.err)
 
+
+VALUE = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).filter(lambda v: not v.startswith("-"))
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A command and argv it accepts: options in any order, repeated appends, ``--name=value``, ``-`` as a value."""
+    command = draw(st.sampled_from(COMMANDS))
+    options, positionals = [], []
+    for names, kwargs in (*cli.COMMON_OPTIONS, *command.args):
+        if not names[0].startswith("-"):
+            if kwargs.get("nargs") != "?" or draw(st.booleans()):
+                positionals.append(draw(st.just("-") | VALUE))
+            continue
+        uses = draw(st.integers(1 if kwargs.get("required") else 0, 3 if kwargs.get("action") == "append" else 1))
+        for _ in range(uses):
+            name = draw(st.sampled_from(names))
+            if kwargs.get("action") == "store_true":
+                options.append([name])
+                continue
+            if "choices" in kwargs:
+                value = draw(st.sampled_from(kwargs["choices"]))
+            elif kwargs.get("type") is int:
+                value = str(draw(st.integers(0, 99)))
+            else:
+                value = draw(VALUE)
+            options.append([f"{name}={value}"] if name.startswith("--") and draw(st.booleans()) else [name, value])
+    options = draw(st.permutations(options))
+    # Positionals keep their order; each goes before the option group its cut names.
+    cuts = sorted(draw(st.lists(st.integers(0, len(options)), min_size=len(positionals), max_size=len(positionals))))
+    argv = list(command.path)
+    for i in range(len(options) + 1):
+        argv += [value for value, cut in zip(positionals, cuts) if cut == i]
+        argv += options[i] if i < len(options) else []
+    return command, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed_argv())
+def test_well_formed_argv_is_read_from_the_table_as_the_full_parser_reads_it(command_argv):
+    command, argv = command_argv
+    want = vars(build_parser().parse_args(argv))
+    got = cli._read_argv(command, argv[len(command.path) :])
+    assert got is not None, argv
+    # ``command`` and ``<group>_command`` are the subparsers' dests; no handler reads them.
+    assert vars(got) == {k: v for k, v in want.items() if k != "command" and not k.endswith("_command")}
+    assert parse_args(argv) == got
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "ls", "--repo", "r", "--json"],
+        ["flow", "run", "--event", "e1", "--repo", "r", "--json"],
+        ["approve", "r1", "--by", "me", "--auto-release", "--repo", "r", "--json"],
+    ],
+)
+def test_well_formed_argv_builds_no_argparse_parser(argv, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert parse_args(argv).func is not None
+    assert built == []
+    parse_args([*argv, "--par", "2"])  # an abbreviation goes to argparse, which the counter sees
+    assert built
 
 
 ONE_STEP = {

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ca_engine.errors import IntegrityViolationError
 from ca_engine.journal import Journal
 from ca_engine.util import canonical_json
+from helpers import catch_up_append
 
 ROWS = st.fixed_dictionaries(
     {"id": st.integers(0, 6), "v": st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)}
@@ -79,3 +80,54 @@ def test_a_read_that_hits_a_bad_line_leaves_no_row_readable(tmp_path):
     for _ in range(2):
         with pytest.raises(IntegrityViolationError, match=r"\.jsonl: line 2:"):
             journal.get(1)
+
+
+def _lines(rows) -> bytes:
+    return "".join(canonical_json(row) + "\n" for row in rows).encode("utf-8")
+
+
+FRAGMENT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=st.sampled_from(["fresh", "partly read", "current"]),
+    before=st.lists(ROWS, max_size=5),
+    seen_torn=FRAGMENT | st.none(),
+    later=st.lists(ROWS, max_size=3),
+    torn=FRAGMENT,
+    new=st.lists(ROWS, min_size=1, max_size=3),
+)
+def test_an_append_writes_and_reads_back_as_a_catch_up_append(state, before, seen_torn, later, torn, new):
+    """Appends from fresh, partly read and current handles, with and without torn tails.
+
+    ``before`` and a torn ``seen_torn`` are there when the handle first
+    reads; another writer then cuts that tail and appends ``later`` and a
+    torn ``torn``; the handle appends ``new``. A ``seen_torn`` of None is as
+    long as ``later`` and ``new`` together, so the file ends where the
+    handle once saw it end.
+    """
+    if seen_torn is None:
+        seen_torn = "x" * (len(_lines(later)) + len(_lines(new)))
+    results = []
+    for append in (Journal.append, catch_up_append):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.jsonl"
+            head = _lines(before)
+            path.write_bytes(head + seen_torn.encode("utf-8"))
+            journal = Journal(path, by_id)
+            if state != "fresh":
+                journal.rows()
+            with open(path, "r+b") as fh:
+                fh.truncate(len(head))
+                fh.seek(len(head))
+                fh.write(_lines(later) + torn.encode("utf-8"))
+            if state == "current":
+                journal.rows()
+            append(journal, new)
+            data = path.read_bytes()
+            fresh_rows = Journal(path, by_id).rows()
+            assert journal.rows() == fresh_rows
+            results.append((data, fresh_rows))
+    assert results[0] == results[1]
+    assert results[0][0].endswith(_lines(new))

@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ca_engine.errors import (
     AlreadyDecidedError,
@@ -22,7 +24,7 @@ from ca_engine.flow import RecordingExecutor, parse_manifest, scripted
 from ca_engine.pipeline import ChangeEvent, Pipeline, make_event, resolve_tuple, subset_select
 from ca_engine.tuples import VersionPin, aligned, diff_tuples
 from ca_engine.util import utc_now_iso
-from helpers import e2e_manifest, e2e_scripts, journal_rows, seed_main, tear
+from helpers import e2e_manifest, e2e_scripts, journal_rows, seed_main, subset_select_reference, tear
 
 
 @pytest.fixture
@@ -156,6 +158,17 @@ def test_subset_keeps_at_least_one_item():
 
     if all(bucket(i) >= 1 for i in manifest):  # rule selected none; smallest hash survives
         assert picks == [min(manifest, key=bucket)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    manifest=st.lists(st.sampled_from(["a", "b", "item-0001", "é", ""]) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), min_size=1, max_size=40),
+    fraction=st.sampled_from([1e-6, 2e-6, 1e-4, 0.01, 0.1, 0.5, 1.0]) | st.floats(1e-6, 1.0),
+    seed=st.integers(0, 5),
+)
+def test_subset_matches_the_tuple_and_sort_reference(manifest, fraction, seed):
+    """Duplicates, tiny fractions (where the keep-one fallback picks the item) and several seeds."""
+    assert subset_select(manifest, fraction, seed) == subset_select_reference(manifest, fraction, seed)
 
 
 def test_subset_rejects_empty_manifest_and_bad_fraction():

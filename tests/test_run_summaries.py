@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from ca_engine import tuples
 from ca_engine.cli import main
 from ca_engine.flow import RecordingExecutor, parse_manifest
 from ca_engine.lineage import replay_check
@@ -164,3 +165,20 @@ def test_recording_a_run_takes_the_lock_once_and_fsyncs_twice(repo, store, run_s
     monkeypatch.setattr(repo, "write_lock", lambda *a, **k: (locks.append(1), real_lock(*a, **k))[1])
     run_store.record(record)
     assert (len(fsyncs), len(locks)) == (2, 1)
+
+
+def test_recording_a_run_on_a_fresh_store_keys_only_its_own_row(repo, store, run_store, monkeypatch):
+    for _ in range(3):
+        make_run(store, run_store)
+    keyed = []
+    key = tuples._summary_key
+
+    def counting_key(row):
+        keyed.append(row["summary"]["run_id"])
+        return key(row)
+
+    monkeypatch.setattr(tuples, "_summary_key", counting_key)
+    fresh = RunStore(repo, store)
+    record = make_run(store, fresh)
+    assert keyed == [record.run_id]
+    assert fresh.summaries() == expected(run_store)

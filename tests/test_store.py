@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -302,6 +303,26 @@ def test_an_id_indexed_before_commit_is_not_indexed_twice(repo, store):
     ArtifactStore(repo).put(ArtifactKind.DATA, b"raced")
     batch.commit()
     assert [row["hash"] for row in journal_rows(repo.index_path)] == [staged.hash]
+
+
+@pytest.mark.parametrize("staged", [1, 12])
+def test_commit_stats_the_index_at_most_twice_whatever_it_stages(repo, store, monkeypatch, staged):
+    batch = WriteBatch(store)
+    ids = [batch.put(ArtifactKind.RESULT, b"blob %d" % i) for i in range(staged)]
+    ArtifactStore(repo).put(ArtifactKind.DATA, b"indexed by another writer after staging")
+    stats = []
+    stat = os.stat
+
+    def counting_stat(path, *args, **kwargs):
+        if os.fspath(path) == os.fspath(repo.index_path):
+            stats.append(path)
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counting_stat)
+    batch.commit()
+    monkeypatch.undo()
+    assert len(stats) <= 2
+    assert all(ArtifactStore(repo).has(artifact_id) for artifact_id in ids)
 
 
 @pytest.mark.parametrize(
