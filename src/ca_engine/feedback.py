@@ -32,7 +32,7 @@ from .tuples import (
     aligned,
     diff_tuples,
 )
-from .util import canonical_json, load_json
+from .util import canonical_json
 
 _COMPARATORS = {
     "<=": operator.le,
@@ -173,9 +173,14 @@ class GateReport:
 
 def load_gate_policy(path: Path) -> GatePolicy:
     """Load ``gates.json``; a missing file means an empty (vacuously passing) policy."""
-    doc = load_json(Path(path), None)
-    if doc is None:
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
         return GatePolicy()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise GatePolicyError(f"{path}: not JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("constraints"), list):
         raise GatePolicyError(f"{path}: expected {{\"constraints\": [...]}}")
     constraints = []

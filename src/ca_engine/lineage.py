@@ -62,11 +62,7 @@ class LineageLog:
     def append_edges(self, edges: Iterable[LineageEdge]) -> int:
         """Append edges not already present in one batch; returns how many were added."""
         with self._repo.write_lock():
-            known = self._journal.rows()
-            new = {(e.src, e.dst, e.role): e for e in edges}
-            rows = [edge.to_dict() for key, edge in new.items() if key not in known]
-            self._journal.append(rows)
-        return len(rows)
+            return self._journal.append_new(edge.to_dict() for edge in edges)
 
     # -- recording -----------------------------------------------------------
 

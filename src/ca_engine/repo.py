@@ -1,11 +1,12 @@
 """Repository layout and the single-writer advisory lock.
 
 All engine state lives under one directory (conventionally ``.ca/``):
-``objects/`` and ``index.jsonl`` for the artifact store, with ``index.idx``
-derived from the index, ``runs/``, ``runs.jsonl`` and ``counters.json`` for
-run records, ``events.jsonl``/``pins.json``/``promotions.jsonl`` for the
-pipeline, ``lineage.jsonl`` for provenance edges, plus ``config.json`` and
-``gates.json``.
+``objects/`` and ``index.jsonl`` for the artifact store, ``runs/``,
+``runs.jsonl`` and ``counters.json`` for run records,
+``events.jsonl``/``pins.json``/``promotions.jsonl`` for the pipeline,
+``lineage.jsonl`` for provenance edges, plus ``config.json`` and
+``gates.json``. Each journal ``<name>.jsonl`` may have a key file
+``<name>.idx`` derived from it (see :mod:`ca_engine.journal`).
 
 Writers serialize through ``write_lock()``: an in-process mutex combined
 with an ``fcntl`` lock on the ``lock`` file, so concurrent writer processes
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import LockHeldError, RepoNotInitializedError
-from .util import atomic_write_json
+from .util import atomic_write_json, load_state
 
 DEFAULT_LOCK_TIMEOUT = 10.0
 
@@ -34,6 +35,12 @@ _DEFAULT_CONFIG = {
     "subset_seed": 0,
     "flow_manifest": None,
 }
+
+
+def _config(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object, got {type(doc).__name__}")
+    return doc
 
 
 class Repository:
@@ -57,10 +64,6 @@ class Repository:
     @property
     def index_path(self) -> Path:
         return self.root / "index.jsonl"
-
-    @property
-    def index_keys_path(self) -> Path:
-        return self.root / "index.idx"
 
     @property
     def runs_journal_path(self) -> Path:
@@ -144,9 +147,11 @@ class Repository:
 
         Waits up to ``lock_timeout`` seconds, forever when it is None; a
         timeout of 0 fails fast. Raises :class:`LockHeldError` when the lock
-        cannot be acquired in time.
+        cannot be acquired in time. The repository is checked only when
+        the lock file cannot be opened: every handle checked it when it
+        opened, so one removed since still raises
+        :class:`RepoNotInitializedError`.
         """
-        self.require()
         timeout = self.lock_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         if not self._mutex.acquire(timeout=-1 if deadline is None else max(timeout, 0)):
@@ -154,8 +159,10 @@ class Repository:
         try:
             # flock needs no write access; the file holds no data.
             fd = os.open(self.lock_path, os.O_RDONLY | os.O_CREAT, 0o644)
-        except BaseException:
+        except BaseException as exc:
             self._mutex.release()
+            if isinstance(exc, OSError):
+                self.require()
             raise
         try:
             while True:
@@ -177,10 +184,5 @@ class Repository:
     # -- config ------------------------------------------------------------
 
     def config(self) -> dict:
-        from .util import load_json
-
-        cfg = dict(_DEFAULT_CONFIG)
-        stored = load_json(self.config_path, {})
-        if isinstance(stored, dict):
-            cfg.update(stored)
-        return cfg
+        """The defaults updated from ``config.json``; a file that is not a JSON object is damaged state."""
+        return {**_DEFAULT_CONFIG, **load_state(self.config_path, _config, {})}

@@ -39,13 +39,14 @@ def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None
 
     ``durable=False`` skips the fsync: the caller must :func:`fsync_file` the
     path before anything durable refers to it. The parent directory is
-    created only when it is missing.
+    created only when it is missing, and never its own parent, so a write
+    into a removed repository fails rather than recreating part of it.
     """
     with _write_errors(path):
         try:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            path.parent.mkdir(exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -113,13 +114,6 @@ def read_jsonl(path: Path) -> list[dict]:
             if raw:
                 rows.append(json.loads(raw))
     return rows
-
-
-def load_json(path: Path, default: Any = None) -> Any:
-    if not path.exists():
-        return default
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def load_state(path: Path, build: Callable[[Any], T], default: T) -> T:

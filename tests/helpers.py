@@ -236,6 +236,11 @@ def tear(path):
         fh.write(b'{"kind":"data","ha')
 
 
+def object_count(store):
+    """How many object files the store holds."""
+    return sum(1 for _ in store._repo.objects_dir.glob("*/*"))
+
+
 def journal_rows(path):
     """Every line of a journal, each of which must be complete JSON."""
     raw = path.read_bytes()

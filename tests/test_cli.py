@@ -564,6 +564,8 @@ DAMAGED_STATE = [
     ("run-ls", "garbled", lambda text: text[: len(text) // 2]),
     ("run-ls", "missing-field", _drop_tuple),
     ("run-ls", "wrong-type", lambda text: "[]"),
+    ("config", "garbled", lambda text: text[: len(text) // 2]),
+    ("config", "wrong-type", lambda text: "[]"),
 ]
 
 
@@ -578,6 +580,7 @@ def test_damaged_engine_state_exits_3_naming_the_file(target, damage, one_step, 
     path, argv = {
         "counters": (repo / "counters.json", flow_run),
         "pins": (repo / "pins.json", flow_run),
+        "config": (repo / "config.json", ["run", "ls", *repo_args]),
         "run-show": (repo / "runs" / f"{run_id}.json", ["run", "show", run_id, *repo_args]),
         "run-ls": (repo / "runs" / f"{run_id}.json", ["run", "ls", *repo_args]),
     }[target]

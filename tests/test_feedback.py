@@ -210,6 +210,14 @@ def test_load_gate_policy_file(tmp_path):
         load_gate_policy(path)
 
 
+@pytest.mark.parametrize("raw", [b'{"constraints": [', b"\xff\xfe{}"])
+def test_a_gate_policy_that_is_not_json_names_its_file(tmp_path, raw):
+    path = tmp_path / "gates.json"
+    path.write_bytes(raw)
+    with pytest.raises(GatePolicyError, match=rf"{path}: not JSON"):
+        load_gate_policy(path)
+
+
 def attach_metrics(store, run_store, record, doc):
     artifact = put_metrics(store, doc)
     bundle, bundle_id = collect(record, store=store, metrics_artifact=artifact)

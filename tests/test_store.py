@@ -13,11 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import ca_engine.store as store_mod
-from ca_engine.errors import IntegrityViolationError, LockHeldError, NotFoundError, RepoNotInitializedError
+from ca_engine.errors import IntegrityViolationError, LockHeldError, NotFoundError, RepoNotInitializedError, StorageError
+from ca_engine.lineage import LineageEdge, LineageLog
 from ca_engine.repo import Repository
 from ca_engine.store import ArtifactId, ArtifactKind, ArtifactStore, WriteBatch, sha256_hex
 from ca_engine.util import atomic_write_bytes
-from helpers import journal_rows, tear
+from helpers import journal_rows, object_count, tear
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -44,10 +45,10 @@ def test_roundtrip(store):
 def test_put_is_idempotent(store):
     blob = b"12345"
     first = store.put(ArtifactKind.DATA, blob)
-    before = store.object_count()
+    before = object_count(store)
     second = store.put(ArtifactKind.DATA, blob)
     assert first == second
-    assert store.object_count() == before
+    assert object_count(store) == before
     assert len(store.list(ArtifactKind.DATA)) == 1
 
 
@@ -66,7 +67,7 @@ def test_same_bytes_two_kinds_are_two_artifacts(store):
     id_test = store.put(ArtifactKind.TEST, blob)
     assert id_data != id_test
     assert id_data.hash == id_test.hash
-    assert store.object_count() == 1
+    assert object_count(store) == 1
     assert len(store.list()) == 2
 
 
@@ -171,6 +172,32 @@ def test_second_process_fails_fast_when_lock_held(repo, store):
             other_store.put(ArtifactKind.DATA, b"blocked")
     # Lock released: the write now goes through.
     assert other_store.put(ArtifactKind.DATA, b"blocked")
+
+
+def test_taking_the_write_lock_stats_neither_the_index_nor_the_objects_dir(repo, store, monkeypatch):
+    checked = {os.fspath(repo.index_path), os.fspath(repo.objects_dir)}
+    stats = []
+    stat = os.stat
+
+    def counting_stat(path, *args, **kwargs):
+        if os.fspath(path) in checked:
+            stats.append(path)
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counting_stat)
+    with repo.write_lock():
+        pass
+    assert stats == []
+
+
+def test_a_repository_removed_under_open_handles_is_not_recreated(repo, store):
+    lineage = LineageLog(repo)
+    shutil.rmtree(repo.root)
+    with pytest.raises(RepoNotInitializedError):
+        lineage.append_edges([LineageEdge("artifact:a", "run:r", "consumed")])
+    with pytest.raises(StorageError):
+        store.put(ArtifactKind.DATA, b"into a removed repository")
+    assert not repo.root.exists()
 
 
 def test_hash_keyed_access(store):
