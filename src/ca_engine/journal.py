@@ -13,23 +13,30 @@ does not parse, or whose key function rejects it, raises
 :class:`IntegrityViolationError` naming the file and line.
 
 Beside each journal ``<name>.jsonl`` may lie a key file ``<name>.idx``, like
-Git's pack ``.idx``. For a prefix of the journal it holds one fixed-width
-record per row: a digest of the row's group value (of its key when the
-journal has no ``group``), the row's line number and its byte offset, sorted
-by digest and line. It also holds the prefix's length, line count and
-SHA-256, and a SHA-256 of its own bytes. A reader trusts it only when both
-digests hold and the prefix ends with a newline. Point and group lookups
-then bisect the records, decode only the candidate lines, in line order and
-keeping the first row per key, and parse only the lines after the prefix.
-Otherwise the whole journal is parsed, so damage anywhere in it is reported
-as without a key file. :meth:`Journal.rows` always parses every line.
+Git's pack ``.idx``. For a prefix of the journal it holds fixed-width
+records sorted by digest and line: for each row and each of its lookup
+values (the values ``group`` returns, or the row's key when the journal has
+no ``group``), a digest of the value, the row's line number and its byte
+offset. It also holds the prefix's length, line count and SHA-256, and a
+SHA-256 of its own bytes. A reader trusts it only when both digests hold
+and the prefix ends with a newline. A point lookup then bisects the records
+of the key's first value and a group lookup those of its value, decodes
+only the candidate lines, in line order and keeping the first row per key,
+and parses only the lines after the prefix. Otherwise the whole journal is
+parsed, so damage anywhere in it is reported as without a key file.
+:meth:`Journal.rows` always parses every line.
 
-Readers never write a key file. A writer that has read the whole journal
-and whose append leaves at least ``KEY_FILE_SLACK`` bytes uncovered
-rewrites it under the write lock it holds, reusing the old records while
-the old prefix still hashes to their digest. It is never fsynced and errors
-writing it are ignored: the file is derived, so losing or damaging it costs
-only speed. A writer that has not read its journal never rewrites it.
+Readers never write a key file. Once a journal holds ``KEY_FILE_SLACK``
+bytes, each append by a writer that has read the whole journal extends the
+newest key file it read or wrote to cover the journal again, under the
+write lock it holds: it reads, hashes (continuing the kept SHA-256 state)
+and decodes only the bytes past that key file's prefix, and merges their
+records into its sorted ones. A prefix changed since then makes readers
+reject the new key file, which costs only speed. The file is written in
+place and never fsynced, and errors writing it are ignored: it is derived
+and its own digest fails when a write was cut short, so losing or damaging
+it costs only speed. A writer that has not read its journal never rewrites
+it.
 """
 
 from __future__ import annotations
@@ -43,18 +50,18 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import IntegrityViolationError, InvalidTupleError, StorageError
-from .util import append_line, atomic_write_bytes, canonical_json
+from .util import append_line, canonical_json, overwrite_bytes
 
 _TAIL_BLOCK = 1 << 16  # bytes read per step when an append looks back for the last newline
 
-# Uncovered journal bytes at which a writer rewrites the key file.
+# Journal bytes from which each append by a writer that has read the journal rewrites its key file.
 KEY_FILE_SLACK = 32 * 1024
 
 # <name>.idx: header, records sorted by (digest, line), then the SHA-256 of both.
 _KEYS_HEADER = struct.Struct(">8sQQ32s")  # magic, covered bytes, covered lines, SHA-256 of the covered bytes
-_KEYS_MAGIC = b"caidx\x00\x00\x03"  # the last byte is the format version
+_KEYS_MAGIC = b"caidx\x00\x00\x04"  # the last byte is the format version
 _DIGEST = 16  # bytes of a record's BLAKE2b digest
-_KEYS_RECORD = struct.Struct(f">{_DIGEST}sIQ")  # digest of the group value or key, line number, offset of the line
+_KEYS_RECORD = struct.Struct(f">{_DIGEST}sIQ")  # digest of a lookup value, line number, offset of the line
 _ROW_ERRORS = (KeyError, TypeError, AttributeError, ValueError, InvalidTupleError)
 
 
@@ -62,15 +69,27 @@ def _digest(value: Hashable) -> bytes:
     return hashlib.blake2b(canonical_json(value).encode("utf-8"), digest_size=_DIGEST).digest()
 
 
-class _KeyFile:
-    """A key file whose digests hold: a record per row of ``data[:size]``."""
+def _bisect(records: bytes, probe: bytes) -> int:
+    """Index of the first of the sorted ``records`` whose leading ``len(probe)`` bytes are not below ``probe``."""
+    width, span = _KEYS_RECORD.size, len(probe)
+    lo, hi = 0, len(records) // width
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if records[mid * width : mid * width + span] < probe:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
-    def __init__(self, records: bytes, data: bytes, size: int, lines: int, digest: bytes):
+
+class _KeyFile:
+    """A key file's sorted records and the journal prefix they cover: its bytes, lines and SHA-256 state."""
+
+    def __init__(self, records: bytes, size: int, lines: int, sha: hashlib._Hash):
         self.records = records
-        self.data = data
         self.size = size
         self.lines = lines
-        self.digest = digest
+        self.sha = sha  # fed exactly the covered bytes, so a rewrite extends a copy of it
 
     @classmethod
     def load(cls, path: Path, data: bytes) -> "_KeyFile | None":
@@ -87,32 +106,39 @@ class _KeyFile:
         ):
             return None
         magic, size, lines, digest = _KEYS_HEADER.unpack_from(raw)
-        if (
-            magic != _KEYS_MAGIC
-            or not 0 < size <= len(data)
-            or data[size - 1] != ord("\n")
-            or hashlib.sha256(memoryview(data)[:size]).digest() != digest
-        ):
+        if magic != _KEYS_MAGIC or not 0 < size <= len(data) or data[size - 1] != ord("\n"):
             return None
-        return cls(raw[_KEYS_HEADER.size : -32], data, size, lines, digest)
+        sha = hashlib.sha256(memoryview(data)[:size])
+        if sha.digest() != digest:
+            return None
+        return cls(raw[_KEYS_HEADER.size : -32], size, lines, sha)
 
-    def lines_of(self, digest: bytes) -> list[tuple[int, bytes]]:
-        """(line number, line) of each row recorded under ``digest``, in line order, found by bisection."""
-        records, width = self.records, _KEYS_RECORD.size
-        lo, hi = 0, len(records) // width
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if records[mid * width : mid * width + _DIGEST] < digest:
-                lo = mid + 1
-            else:
-                hi = mid
+    def offsets(self, digest: bytes) -> list[tuple[int, int]]:
+        """(line number, byte offset) of each row recorded under ``digest``, in line order, found by bisection."""
         found = []
-        for at in range(lo * width, len(records), width):
-            value, line, offset = _KEYS_RECORD.unpack_from(records, at)
+        for at in range(_bisect(self.records, digest) * _KEYS_RECORD.size, len(self.records), _KEYS_RECORD.size):
+            value, line, offset = _KEYS_RECORD.unpack_from(self.records, at)
             if value != digest:
                 break
-            found.append((line, self.data[offset : self.data.index(b"\n", offset)]))
+            found.append((line, offset))
         return found
+
+    def extended(self, data: bytes, records: list[bytes]) -> "_KeyFile":
+        """A key file covering also ``data``, the complete lines after the prefix, whose records are ``records``."""
+        sha = self.sha.copy()
+        sha.update(data)
+        parts: list[bytes | memoryview] = []
+        view, at = memoryview(self.records), 0
+        for record in sorted(records):  # each goes after every old record of its digest: its line is later
+            cut = _bisect(self.records, record) * _KEYS_RECORD.size
+            parts += (view[at:cut], record)
+            at = cut
+        parts.append(view[at:])
+        return _KeyFile(b"".join(parts), self.size + len(data), self.lines + data.count(b"\n"), sha)
+
+    def encode(self) -> bytes:
+        body = _KEYS_HEADER.pack(_KEYS_MAGIC, self.size, self.lines, self.sha.digest()) + self.records
+        return body + hashlib.sha256(body).digest()
 
 
 class Journal:
@@ -120,19 +146,20 @@ class Journal:
 
     The artifact index, the event and promotion logs, lineage edges and run
     summaries are each one journal. ``key`` is also the row's shape check:
-    raising ``KeyError``, ``TypeError`` or ``ValueError`` marks the line as
-    damaged. ``group`` optionally maps each key to a secondary key, so that
-    :meth:`group` returns every key sharing it without a scan. Writers must
-    hold the repository write lock around :meth:`append` and
-    :meth:`append_new`, and around any read whose answer decides what they
-    append.
+    raising ``KeyError``, ``TypeError`` or ``ValueError``, or returning a
+    key that cannot be hashed, marks the line as damaged. ``group``
+    optionally maps each key to a tuple of lookup values, so that
+    :meth:`group` returns every key with a given value without a scan; a
+    point lookup reads the rows of its key's first value. Writers must hold
+    the repository write lock around :meth:`append` and :meth:`append_new`,
+    and around any read whose answer decides what they append.
     """
 
     def __init__(
         self,
         path: Path,
         key: Callable[[dict], Hashable],
-        group: Callable[[Hashable], Hashable] | None = None,
+        group: Callable[[Hashable], tuple[Hashable, ...]] | None = None,
     ):
         self.path = path
         self.keys_path = path.with_suffix(".idx")
@@ -149,8 +176,18 @@ class Journal:
         self._rows: dict[Hashable, dict] = {}
         self._groups: dict[Hashable, list[Hashable]] = {}
         self._keys: _KeyFile | None = None  # the key file covering the bytes before the parsed ones
+        self._data = b""  # the journal bytes read with it
         self._found: dict[Hashable, list[tuple[Hashable, dict]]] = {}  # covered rows by recorded value
-        self._indexed = 0  # bytes covered by the newest key file this journal read or wrote
+        self._newest: _KeyFile | None = None  # the newest key file this journal read or wrote
+
+    def _values(self, key: Hashable) -> tuple[Hashable, ...]:
+        """The lookup values the key file records a row with this key under, the point lookup's first."""
+        if self._group is None:
+            return (key,)
+        values = self._group(key)
+        if isinstance(values, str):  # iterating it would record each character
+            raise TypeError(f"{self.path.name}: group must return a tuple of values, not the string {values!r}")
+        return values
 
     # -- reading -------------------------------------------------------------
 
@@ -176,11 +213,11 @@ class Journal:
             return dict(self._rows)
 
     def group(self, value: Hashable) -> list[Hashable]:
-        """Keys whose ``group`` is ``value``, in file order."""
+        """Keys with ``value`` among their ``group`` values, in file order."""
         with self._lock:
             self._catch_up()
-            first = [key for key, _ in self._covered(value) if self._group(key) == value]
-            return first + [key for key in self._groups.get(value, ()) if key not in first]
+            covered = [key for key, _ in self._covered(value) if value in self._values(key)]
+            return list(dict.fromkeys([*covered, *self._groups.get(value, ())]))
 
     @property
     def covered(self) -> int:
@@ -192,14 +229,10 @@ class Journal:
     def _find(self, key: Hashable) -> dict | None:
         """The first row with this key among the rows covered or parsed; the caller holds the lock."""
         if self._keys is not None:
-            for covered_key, row in self._covered(self._recorded(key)):
+            for covered_key, row in self._covered(self._values(key)[0]):
                 if covered_key == key:
                     return row
         return self._rows.get(key)
-
-    def _recorded(self, key: Hashable) -> Hashable:
-        """The value whose digest the key file records for a row with this key."""
-        return key if self._group is None else self._group(key)
 
     def _covered(self, value: Hashable) -> list[tuple[Hashable, dict]]:
         """(key, first row) of the covered keys recorded under ``value``'s digest; the caller holds the lock."""
@@ -208,9 +241,10 @@ class Journal:
         found = self._found.get(value)
         if found is None:
             rows: dict[Hashable, dict] = {}
-            for line, raw in self._keys.lines_of(_digest(value)):
+            data = self._data
+            for line, offset in self._keys.offsets(_digest(value)):
                 try:
-                    row = json.loads(raw.decode("utf-8"))
+                    row = json.loads(data[offset : data.index(b"\n", offset)].decode("utf-8"))
                     rows.setdefault(self._key(row), row)
                 except _ROW_ERRORS:
                     raise self._corrupt(line, f"is not the row {self.keys_path.name} points at") from None
@@ -236,9 +270,10 @@ class Journal:
             chunk = fh.read()
         start = 0
         if self._offset == 0 and self._use_keys:
-            self._keys = _KeyFile.load(self.keys_path, chunk)
+            self._keys = self._newest = _KeyFile.load(self.keys_path, chunk)
             if self._keys is not None:
-                start = self._indexed = self._keys.size
+                self._data = chunk
+                start = self._keys.size
                 self._lines = self._keys.lines
         end = chunk.rfind(b"\n") + 1
         if end > start:
@@ -275,9 +310,11 @@ class Journal:
             numbered = self._decode_lines(lines, first)
         for line, row in numbered:
             try:
-                self._insert(self._key(row), row)
+                key = self._key(row)
+                hash(key)
             except _ROW_ERRORS as exc:
                 raise self._corrupt(line, f"bad row ({exc!r})") from None
+            self._insert(key, row)
         self._lines += len(lines)
 
     def _decode_lines(self, lines: list[str], first: int) -> Iterator[tuple[int, object]]:
@@ -293,7 +330,8 @@ class Journal:
         if key not in self._rows:
             self._rows[key] = row
             if self._group is not None:
-                self._groups.setdefault(self._group(key), []).append(key)
+                for value in self._values(key):
+                    self._groups.setdefault(value, []).append(key)
 
     def _corrupt(self, line: int, reason: str) -> IntegrityViolationError:
         return IntegrityViolationError(f"{self.path}: line {line}: {reason}")
@@ -345,8 +383,11 @@ class Journal:
             self._insert(key, row)
         self._lines += len(keyed)
         self._offset = self._seen = end + len(text.encode("utf-8")) + 1
-        if self._offset - self._indexed >= KEY_FILE_SLACK:
-            self._write_keys()
+        if self._offset >= KEY_FILE_SLACK:
+            try:
+                self._write_keys()
+            except (OSError, StorageError, *_ROW_ERRORS):
+                pass  # the key file is derived: without it readers parse more
 
     def _line_end(self, size: int) -> int:
         """The offset after the last newline in the first ``size`` bytes, read back from there to the parsed offset."""
@@ -364,43 +405,33 @@ class Journal:
         return self._offset
 
     def write_keys(self) -> None:
-        """Rewrite the key file to cover every complete line; the caller holds the write lock."""
+        """Rewrite the key file to cover every complete line; the caller holds the write lock.
+
+        Raises as the key function does on a line that is not a row, and as
+        writing the file does.
+        """
         with self._lock:
             self._write_keys()
 
     def _write_keys(self) -> None:
-        """:meth:`write_keys` with the journal's lock held. Errors are ignored: readers then parse more."""
-        try:
-            data = self.path.read_bytes()
-            atomic_write_bytes(self.keys_path, self._build_keys(data), durable=False)
-        except (OSError, StorageError, *_ROW_ERRORS):
-            return
-        self._indexed = data.rfind(b"\n") + 1
+        """:meth:`write_keys` with the journal's lock held.
 
-    def _build_keys(self, data: bytes) -> bytes:
-        """Key file bytes covering every complete line of ``data``.
-
-        The records of the key file this journal read are reused while its
-        covered bytes still hash to its digest; every other line is decoded
-        here. Raises as the key function does on a line that is not a row.
+        It extends the newest key file this journal read or wrote, so only
+        the bytes after that one's prefix are read, hashed and decoded.
         """
-        end = data.rfind(b"\n") + 1
-        view = memoryview(data)
-        old = self._keys
-        if old is not None and (old.size > end or hashlib.sha256(view[: old.size]).digest() != old.digest):
-            old = None
-        start = line = 0
+        newest = self._newest or _KeyFile(b"", 0, 0, hashlib.sha256())
+        with open(self.path, "rb") as fh:
+            fh.seek(newest.size)
+            tail = fh.read()
+        tail = tail[: tail.rfind(b"\n") + 1]
         records: list[bytes] = []
-        if old is not None:
-            start, line, width = old.size, old.lines, _KEYS_RECORD.size
-            records = [old.records[at : at + width] for at in range(0, len(old.records), width)]
-        offset = start
-        for raw in data[start:end].split(b"\n")[:-1]:
+        line, offset = newest.lines, newest.size
+        for raw in tail.split(b"\n")[:-1]:
             line += 1
             if raw.strip():
                 key = self._key(json.loads(raw.decode("utf-8")))
-                records.append(_KEYS_RECORD.pack(_digest(self._recorded(key)), line, offset))
+                records += [_KEYS_RECORD.pack(_digest(value), line, offset) for value in self._values(key)]
             offset += len(raw) + 1
-        records.sort()
-        body = _KEYS_HEADER.pack(_KEYS_MAGIC, end, line, hashlib.sha256(view[:end]).digest()) + b"".join(records)
-        return body + hashlib.sha256(body).digest()
+        keys = newest.extended(tail, records)
+        overwrite_bytes(self.keys_path, keys.encode())
+        self._newest = keys

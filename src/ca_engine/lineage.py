@@ -48,13 +48,25 @@ def _edge_key(row: dict) -> tuple[str, str, str]:
     return row["from"], row["to"], row["role"]
 
 
+def _edge_ends(key: tuple[str, str, str]) -> tuple[tuple[str, str], tuple[str, str]]:
+    """The edge's ends tagged by direction, its run's end first: a point lookup reads only that run's edges."""
+    src, dst, role = key
+    if role == ROLE_PRODUCED:
+        return ("from", src), ("to", dst)
+    return ("to", dst), ("from", src)
+
+
 class LineageLog:
-    """Append-only edge log: a :class:`Journal` keyed by (src, dst, role), read on first query."""
+    """Append-only edge log: a :class:`Journal` keyed by (src, dst, role), read on first query.
+
+    Each edge is looked up by both of its ends (:func:`_edge_ends`), so a
+    query reads only the edges of the nodes it visits.
+    """
 
     def __init__(self, repo: Repository):
         repo.require()
         self._repo = repo
-        self._journal = Journal(repo.lineage_path, _edge_key)
+        self._journal = Journal(repo.lineage_path, _edge_key, group=_edge_ends)
 
     def edges(self) -> list[LineageEdge]:
         return [LineageEdge(*key) for key in self._journal.rows()]
@@ -95,8 +107,8 @@ class LineageLog:
         node = artifact_ref(artifact_id)
         tokens = {
             dst.removeprefix("run:")
-            for src, dst, role in self._journal.rows()
-            if src == node and role in (ROLE_CONSUMED, ROLE_PINNED)
+            for _, dst, role in self._journal.group(("from", node))
+            if role in (ROLE_CONSUMED, ROLE_PINNED)
         }
 
         def sort_key(token: str):
@@ -108,26 +120,23 @@ class LineageLog:
         return sorted(tokens, key=sort_key)
 
     def provenance_of(self, artifact_id: ArtifactId) -> set[str]:
-        """Upstream closure: the artifact, its producing runs, their inputs, and so on."""
-        producers: dict[str, set[str]] = {}
-        inputs: dict[str, set[str]] = {}
-        for src, dst, role in self._journal.rows():
-            if role == ROLE_PRODUCED:
-                producers.setdefault(dst, set()).add(src)
-            else:
-                inputs.setdefault(dst, set()).add(src)
-        start = artifact_ref(artifact_id)
+        """Upstream closure: the artifact, its producing runs, their inputs, and so on.
+
+        An artifact is reached back through the edges that produced it, a run
+        through its consumed and pinned edges; each node's edges into it are
+        one lookup.
+        """
         closure: set[str] = set()
-        frontier = [start]
+        frontier = [artifact_ref(artifact_id)]
         while frontier:
             node = frontier.pop()
             if node in closure:
                 continue
             closure.add(node)
-            if node.startswith("artifact:"):
-                frontier.extend(producers.get(node, ()))
-            else:
-                frontier.extend(inputs.get(node, ()))
+            artifact = node.startswith("artifact:")
+            frontier.extend(
+                src for src, _, role in self._journal.group(("to", node)) if (role == ROLE_PRODUCED) == artifact
+            )
         return closure
 
 

@@ -24,7 +24,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -134,7 +133,7 @@ class ArtifactStore:
     def __init__(self, repo: Repository):
         repo.require()
         self._repo = repo
-        self._index = Journal(repo.index_path, _index_key, group=itemgetter(1))
+        self._index = Journal(repo.index_path, _index_key, group=lambda key: (key[1],))
 
     # -- internals ---------------------------------------------------------
 
@@ -319,13 +318,14 @@ class WriteBatch:
         digest = sha256_hex(data)
         artifact_id = ArtifactId(kind, digest)
         key = (kind.value, digest)
-        if key in store._index:
+        indexed = store._index.group(digest)  # the one lookup, and the one stat of the index
+        if key in indexed:
             return artifact_id
         with self._lock:
             self._records.setdefault(key, ArtifactRecord(artifact_id, len(data), media_type, utc_now_iso(), labels))
         # Held while writing, so a second put of these bytes returns only once the file is in place.
         with self._file_lock(digest):
-            if digest not in self._written and not store.has_hash(digest):
+            if digest not in self._written and not indexed:
                 atomic_write_bytes(store.object_path(digest), data, durable=False)
                 self._written.add(digest)
                 self._trusted.add(digest)

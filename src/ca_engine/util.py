@@ -63,6 +63,25 @@ def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None
             raise
 
 
+def overwrite_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` over the file at ``path`` in place, with no temp file, rename or fsync.
+
+    Only for a derived file that carries its own digest: a reader racing the
+    write, or a crash in the middle of it, leaves bytes that fail the digest.
+    A temp file and a rename cost several times the write itself on a file
+    system busy with fsyncs.
+    """
+    with _write_errors(path):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.pwrite(fd, view, len(data) - len(view)) :]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+
+
 def fsync_file(path: Path) -> None:
     """Flush a file written with ``durable=False`` to stable storage."""
     with _write_errors(path):

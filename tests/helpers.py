@@ -278,3 +278,8 @@ def catch_up_append(journal, rows) -> None:
             journal._insert(key, row)
         journal._lines += len(keyed)
         journal._offset = journal._seen = journal._offset + len(text.encode("utf-8")) + 1
+
+
+def resign(raw: bytes) -> bytes:
+    """Key file bytes with the trailing digest recomputed over the changed body."""
+    return raw[:-32] + hashlib.sha256(raw[:-32]).digest()

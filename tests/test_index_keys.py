@@ -19,7 +19,7 @@ from ca_engine.journal import KEY_FILE_SLACK, Journal
 from ca_engine.lineage import LineageEdge, LineageLog, _edge_key
 from ca_engine.store import ArtifactKind, ArtifactStore, _index_key
 from ca_engine.util import canonical_json
-from helpers import make_run
+from helpers import make_run, resign
 
 HASHES = [hashlib.sha256(bytes([n])).hexdigest() for n in range(3)]
 KINDS = ["data", "code", "result"]
@@ -41,7 +41,7 @@ def plain(path: Path) -> Journal:
 
     It reads the index itself rather than a copy, so its errors name the same file.
     """
-    journal = Journal(path, _index_key, group=lambda key: key[1])
+    journal = Journal(path, _index_key, group=lambda key: (key[1],))
     journal.keys_path = path.parent / "no-key-file" / journal.keys_path.name
     return journal
 
@@ -66,7 +66,7 @@ def answers(journal, keys=KEYS) -> list:
 def write_index(index_path: Path, lines: list[str], cut: int) -> int:
     """Index ``lines`` with a key file covering the first ``cut``; the covered byte count."""
     index_path.write_text("".join(line + "\n" for line in lines[:cut]), encoding="utf-8")
-    Journal(index_path, _index_key, group=lambda key: key[1]).write_keys()
+    Journal(index_path, _index_key, group=lambda key: (key[1],)).write_keys()
     covered = index_path.stat().st_size
     with open(index_path, "a", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines[cut:]))
@@ -85,7 +85,7 @@ def test_a_key_file_cut_at_any_line_answers_as_a_fresh_parse(lines, cut, where, 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.jsonl"
         covered = write_index(path, lines, cut)
-        keyed = Journal(path, _index_key, group=lambda key: key[1])
+        keyed = Journal(path, _index_key, group=lambda key: (key[1],))
         assert keyed.covered == covered
         assert answers(keyed) == answers(plain(path))
 
@@ -95,17 +95,27 @@ def test_a_key_file_cut_at_any_line_answers_as_a_fresh_parse(lines, cut, where, 
         if data[at] != byte:
             data[at] = byte
             path.write_bytes(data)
-            assert answers(Journal(path, _index_key, group=lambda key: key[1])) == answers(plain(path))
+            assert answers(Journal(path, _index_key, group=lambda key: (key[1],))) == answers(plain(path))
         # ... and one that cannot be UTF-8 raises, naming the line it is on, unless it
         # replaced the last newline and so left a torn tail that every read ignores.
         data[at] = 0xFF
         path.write_bytes(data)
-        keyed = Journal(path, _index_key, group=lambda key: key[1])
+        keyed = Journal(path, _index_key, group=lambda key: (key[1],))
         if b"\n" in data[at:]:
             line = data.count(b"\n", 0, at) + 1
             with pytest.raises(IntegrityViolationError, match=rf"index\.jsonl: line {line}: not UTF-8"):
                 KEYS[0] in keyed
         assert answers(keyed) == answers(plain(path))
+
+
+def test_a_group_that_returns_a_string_raises_type_error(tmp_path):
+    path = tmp_path / "index.jsonl"
+    lines = index_lines(5)
+    write_index(path, lines, 3)
+    digest = json.loads(lines[0])["hash"]
+    for query in (lambda journal: journal.group(digest), Journal.rows, Journal.write_keys):
+        with pytest.raises(TypeError, match="tuple of values"):
+            query(Journal(path, _index_key, group=lambda key: key[1]))
 
 
 def index_lines(count: int) -> list[str]:
@@ -114,11 +124,6 @@ def index_lines(count: int) -> list[str]:
         canonical_json({"kind": kinds[n % len(kinds)], "hash": hashlib.sha256(b"%d" % (n % 7)).hexdigest(), "n": n})
         for n in range(count)
     ]
-
-
-def resign(raw: bytes) -> bytes:
-    """Key file bytes with the trailing digest recomputed over the changed body."""
-    return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
 
 
 DAMAGE = {
@@ -135,13 +140,13 @@ def test_a_damaged_or_stale_key_file_is_ignored_with_identical_answers(tmp_path,
     path, keys_path = tmp_path / "index.jsonl", tmp_path / "index.idx"
     lines = index_lines(40)
     write_index(path, lines, 30)
-    assert Journal(path, _index_key, group=lambda key: key[1]).covered > 0
+    assert Journal(path, _index_key, group=lambda key: (key[1],)).covered > 0
     if damage == "stale":
         # Another index, longer than the covered prefix, whose bytes the key file does not describe.
         path.write_text("".join(line + "\n" for line in reversed(lines)), encoding="utf-8")
     else:
         keys_path.write_bytes(DAMAGE[damage](keys_path.read_bytes()))
-    keyed = Journal(path, _index_key, group=lambda key: key[1])
+    keyed = Journal(path, _index_key, group=lambda key: (key[1],))
     assert keyed.covered == 0
     keys = [_index_key(json.loads(line)) for line in lines]
     assert answers(keyed, keys) == answers(plain(path), keys)
@@ -194,6 +199,20 @@ def test_a_key_file_that_cannot_be_written_costs_only_speed(repo, store):
     ids.append(store.put(ArtifactKind.RESULT, b"after"))
     fresh = ArtifactStore(repo)
     assert fresh._index.covered == 0
+    assert all(fresh.has(artifact_id) for artifact_id in ids)
+
+
+def test_a_key_file_rewritten_shorter_than_the_old_one_is_cut_to_its_length(repo, store):
+    ids = put_until(store, 3 * KEY_FILE_SLACK)
+    old_keys = store._index.keys_path.stat().st_size
+    # A journal cut back to fewer rows than the key file describes: the next writer indexes it afresh.
+    lines = repo.index_path.read_bytes().splitlines(keepends=True)
+    repo.index_path.write_bytes(b"".join(lines[: len(lines) // 2]))
+    ids = ids[: len(lines) // 2]
+    ids.append(ArtifactStore(repo).put(ArtifactKind.CODE, b"after the cut"))
+    assert store._index.keys_path.stat().st_size < old_keys
+    fresh = ArtifactStore(repo)
+    assert fresh._index.covered == repo.index_path.stat().st_size
     assert all(fresh.has(artifact_id) for artifact_id in ids)
 
 
@@ -307,11 +326,11 @@ def test_recording_edges_keys_only_the_tail_the_candidates_and_the_runs_own_edge
 
     monkeypatch.setattr(lineage, "_edge_key", counting_key)
     assert LineageLog(repo).record_edges(record, store=store) == 0
-    # Each of the run's edges is keyed once as given and once as the covered line it matches.
-    assert len(keyed) == len(tail) + 2 * own
+    # The append of the tail rewrote the key file, so no line is parsed. Each of the run's edges is
+    # keyed once as given and once as a covered line recorded under the run's end.
+    assert len(keyed) == 2 * own
     monkeypatch.undo()
-    tail_bytes = sum(len(canonical_json(edge.to_dict())) + 1 for edge in tail)
-    assert LineageLog(repo)._journal.covered == repo.lineage_path.stat().st_size - tail_bytes
+    assert LineageLog(repo)._journal.covered == repo.lineage_path.stat().st_size
 
 
 def test_append_new_stats_the_journal_once_and_appends_only_new_keys(tmp_path, monkeypatch):

@@ -352,6 +352,27 @@ def test_commit_stats_the_index_at_most_twice_whatever_it_stages(repo, store, mo
     assert all(ArtifactStore(repo).has(artifact_id) for artifact_id in ids)
 
 
+def test_staging_new_bytes_stats_the_index_once_per_put(repo, store, monkeypatch):
+    store.put(ArtifactKind.DATA, b"indexed")
+    batch = WriteBatch(store)
+    stats = []
+    stat = os.stat
+
+    def counting_stat(path, *args, **kwargs):
+        if os.fspath(path) == os.fspath(repo.index_path):
+            stats.append(path)
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counting_stat)
+    ids = [batch.put(ArtifactKind.RESULT, b"new %d" % n) for n in range(3)]
+    ids.append(batch.put(ArtifactKind.CODE, b"indexed"))  # new as code, its object file already indexed
+    monkeypatch.undo()
+    assert len(stats) == len(ids)
+    assert object_count(store) == 4
+    batch.commit()
+    assert all(ArtifactStore(repo).has(artifact_id) for artifact_id in ids)
+
+
 @pytest.mark.parametrize(
     "blob, kept", [(b' \n\t["a", "b"]\n', True), (b"\x00\x01[binary", False), (b"  {}", False)]
 )
