@@ -10,9 +10,11 @@ error; on success every declared output must be present.
 from __future__ import annotations
 
 import os
+import select
 import signal
 import subprocess
 import threading
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,8 +52,53 @@ class StepExecutor(ABC):
         """Run ``command`` in ``workdir`` and capture the declared outputs."""
 
 
+def _remaining(deadline: float | None) -> float | None:
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
+def _read_to_end(pipe, deadline: float | None) -> bytes:
+    """Everything written to ``pipe`` until every writer closed it; TimeoutError past ``deadline``."""
+    fd = pipe.fileno()
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    chunks = []
+    while True:
+        timeout = _remaining(deadline)
+        if not poller.poll(None if timeout is None else timeout * 1000):
+            raise TimeoutError
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def _await_exit(pid: int, deadline: float | None) -> None:
+    """Wait for the child to exit, leaving it unreaped; TimeoutError past ``deadline``.
+
+    With a deadline the child is polled, with growing sleeps, as
+    :meth:`subprocess.Popen.wait` polls it.
+    """
+    flags = os.WEXITED | os.WNOWAIT
+    if deadline is None:
+        os.waitid(os.P_PID, pid, flags)
+        return
+    delay = 0.0005
+    while os.waitid(os.P_PID, pid, flags | os.WNOHANG) is None:
+        timeout = _remaining(deadline)
+        if not timeout:
+            raise TimeoutError
+        time.sleep(min(delay, timeout))
+        delay = min(delay * 2, 0.05)
+
+
 class ProcessExecutor(StepExecutor):
-    """Runs commands as OS subprocesses in an isolated working directory."""
+    """Runs commands as OS subprocesses in an isolated working directory.
+
+    Each step leads a session of its own. Once its process exits, or its
+    timeout passes, every process left in its group is killed, so a step
+    leaves no process behind to write into a workdir or input file that a
+    later task reuses.
+    """
 
     def __init__(self, timeout: float | None = None):
         self.timeout = timeout
@@ -73,15 +120,19 @@ class ProcessExecutor(StepExecutor):
             )
         except OSError as exc:
             raise SpawnFailureError(f"cannot spawn {command!r}: {exc}") from exc
+        deadline = None if self.timeout is None else time.monotonic() + self.timeout
         try:
-            with proc:
+            with proc:  # reaps the leader on the way out
                 try:
-                    log, _ = proc.communicate(timeout=self.timeout)
-                except BaseException:
-                    # The step leads its own session, so this ends every process it started.
-                    os.killpg(proc.pid, signal.SIGKILL)
-                    raise
-        except subprocess.TimeoutExpired as exc:
+                    log = _read_to_end(proc.stdout, deadline)
+                    _await_exit(proc.pid, deadline)
+                finally:
+                    # The leader is not reaped yet, so its id still names only the step's group.
+                    try:
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+        except TimeoutError as exc:
             raise ExecutorFailureError(f"command timed out after {self.timeout}s: {command}") from exc
         collected: dict[str, bytes] = {}
         if proc.returncode == 0:

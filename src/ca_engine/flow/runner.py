@@ -9,8 +9,8 @@ the upstream tasks it still waits for, and it starts when its last upstream
 task succeeds; tasks that become ready together are submitted in key order,
 and up to the parallelism limit run at once. A failed task never releases
 its dependents, so they never start, while independent tasks keep running
-and a failed run still yields maximal feedback. Every executed task removes
-its own workdir as soon as its executor returns, stages its log,
+and a failed run still yields maximal feedback. Every executed task tears
+down its workdir as soon as its executor returns, stages its log,
 environment snapshot, and outputs in the run's write batch, whose ids its
 dependents can use at once, and contributes a step outcome to the run
 record, in plan order. Once every task has finished, one commit makes the
@@ -22,13 +22,21 @@ then return without running or staging anything.
 
 Each input is hashed once per run: the run's write batch checks it before
 the first task that needs it gets a copy, unless the caller or the batch
-already hashed those bytes in this run. Each task gets its own copy, so a
-step that writes to its inputs reaches neither the store nor a sibling.
+already hashed those bytes in this run. Every task gets a copy of its own,
+so a step that writes to its inputs reaches neither the store nor a sibling.
 
 A task's workdir ``tmp/<run-id>/<task>/`` is one flat directory holding its
-input copies as ``in.<file>`` and its declared outputs as ``out.<slot>``, so
-setting it up costs one ``mkdir``. Removing it unlinks those files and the
-directory; only a step that left files of its own there costs a tree walk.
+input copies as ``in.<file>`` and its declared outputs as ``out.<slot>``.
+Each pool thread keeps one workdir for the whole run, as Bazel's
+``--reuse_sandbox_directories`` does. Teardown unlinks the outputs and keeps
+the input copies. The thread's next task renames the directory to its own
+name, renames a kept copy it has no use for to an input name it lacks or else
+unlinks it, and :meth:`ArtifactStore.copy_to` rewrites each kept copy in
+place. So a thread makes one directory per run, and creates an input file
+only for a name it did not keep. A workdir holding anything but regular
+files with the engine's input names is removed with a tree walk, and the
+thread's next task makes a new one. At the end of a run, aborted or not,
+each thread's kept workdir is removed.
 """
 
 from __future__ import annotations
@@ -173,6 +181,8 @@ class _RunContext:
         self.outcomes: dict[str, StepOutcome] = {}
         # Set by the first task that raises; tasks that start later do nothing.
         self.aborted = threading.Event()
+        # Each pool thread's kept workdir and the input files left in it, by thread id.
+        self.kept: dict[int, tuple[Path, set[str]]] = {}
 
 
 def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: ArtifactStore) -> dict[InputRef, ArtifactId]:
@@ -219,14 +229,61 @@ def _remove_dir(path: Path, files: Iterable[Path] = ()) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
+def _take_workdir(ctx: _RunContext, workdir: Path, names: list[str]) -> None:
+    """Make ``workdir`` from this thread's kept workdir, or a new one, with no file but kept copies among ``names``.
+
+    A kept file the task has no use for is renamed to a name it needs and
+    lacks, or else unlinked.
+    """
+    kept = ctx.kept.pop(threading.get_ident(), None)
+    if kept is None:
+        os.mkdir(workdir)
+        return
+    path, files = kept
+    os.rename(path, workdir)
+    lacking = [name for name in names if name not in files]
+    for name in files.difference(names):
+        if lacking:
+            os.rename(workdir / name, workdir / lacking.pop())
+        else:
+            os.unlink(workdir / name)
+
+
+def _keep_workdir(ctx: _RunContext, workdir: Path, names: set[str], outputs: Iterable[Path]) -> None:
+    """Unlink the outputs and keep ``workdir`` for this thread's next task, or remove it.
+
+    It is kept only when it is still a directory holding nothing but regular
+    files named as the engine named its input copies.
+    """
+    try:
+        for path in outputs:
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+        fd = os.open(workdir, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+        try:
+            with os.scandir(fd) as entries:
+                left = {entry.name: entry.is_file(follow_symlinks=False) for entry in entries}
+        finally:
+            os.close(fd)
+    except OSError:
+        left = None
+    if left is not None and all(left.values()) and left.keys() <= names:
+        ctx.kept[threading.get_ident()] = (workdir, set(left))
+    else:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 def _execute_task(ctx: _RunContext, task: _Task) -> bool:
     # Slot names hold no dot, so in.<file> and out.<slot> cannot collide.
     workdir = ctx.workdir_root / task.key
     input_paths = {item.key: workdir / f"in.{item.file}" for item in task.inputs}
     declared_outputs = {slot: workdir / f"out.{slot}" for slot in task.outputs}
-    # The executor returns the outputs' bytes, so the workdir goes as soon as it returns.
+    names = [path.name for path in input_paths.values()]
+    # The executor returns the outputs' bytes, so the workdir is torn down as soon as it returns.
     try:
-        os.mkdir(workdir)
+        _take_workdir(ctx, workdir, names)
         substitution: dict[str, list[str]] = {}
         for item in task.inputs:
             path = input_paths[item.key]
@@ -245,7 +302,7 @@ def _execute_task(ctx: _RunContext, task: _Task) -> bool:
             rendered, inputs=input_paths, outputs=declared_outputs, env=ctx.env, workdir=workdir
         )
     finally:
-        _remove_dir(workdir, [*input_paths.values(), *declared_outputs.values()])
+        _keep_workdir(ctx, workdir, set(names), declared_outputs.values())
     wall_time_ms = int((time.monotonic() - started) * 1000)
 
     log_id = ctx.batch.put(ArtifactKind.RESULT, result.log, "text/plain")
@@ -371,6 +428,8 @@ def execute(
                 running += submit([nxt for nxt in dependents[key] if waiting[nxt] == 0])
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        for path, files in ctx.kept.values():
+            _remove_dir(path, [path / name for name in files])
         _remove_dir(workdir_root)
     batch.commit()
 

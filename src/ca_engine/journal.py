@@ -35,8 +35,10 @@ records into its sorted ones. A prefix changed since then makes readers
 reject the new key file, which costs only speed. The file is written in
 place and never fsynced, and errors writing it are ignored: it is derived
 and its own digest fails when a write was cut short, so losing or damaging
-it costs only speed. A writer that has not read its journal never rewrites
-it.
+it costs only speed. A writer that has not read a journal of
+``KEY_FILE_SLACK`` bytes or more reads it first, through its key file, so
+that every writer keeps the key file current; one that cannot, because a
+line is damaged, appends without and never rewrites the key file.
 """
 
 from __future__ import annotations
@@ -342,14 +344,23 @@ class Journal:
         """Durably append rows with one write and one fsync; the caller holds the write lock.
 
         A journal that has read the whole file indexes the rows without
-        reading them back. Any other parses nothing: it finds the end of the
-        file's last complete line by reading back from the end, and its next
-        read parses the new rows with the rest.
+        reading them back. Any other first reads a file of ``KEY_FILE_SLACK``
+        bytes or more, through its key file, so that the append keeps the key
+        file current. A smaller file, or one with a damaged line, it does not
+        parse: it finds the end of the file's last complete line by reading
+        back from the end, and its next read parses the new rows with the rest.
         """
         keyed = [(self._key(row), row) for row in rows]
         if keyed:
             with self._lock:
-                self._write(keyed, self._size())
+                size = self._size()
+                if self._seen < size and size >= KEY_FILE_SLACK:
+                    try:
+                        self._catch_up()
+                        size = self._seen
+                    except IntegrityViolationError:
+                        pass  # the damage is left to readers, which report it
+                self._write(keyed, size)
 
     def append_new(self, rows: Iterable[dict]) -> int:
         """Append the rows whose key has no row yet, first per key; returns how many.

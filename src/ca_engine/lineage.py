@@ -103,7 +103,11 @@ class LineageLog:
     # -- queries ---------------------------------------------------------------
 
     def runs_using(self, artifact_id: ArtifactId, *, run_store: RunStore) -> list[str]:
-        """Runs with a consumed or pinned edge from the artifact, by start time."""
+        """Runs with a consumed or pinned edge from the artifact, by start time.
+
+        A run's start time comes from its ``runs.jsonl`` row; only a run
+        without one has its record read, and a run without a record sorts first.
+        """
         node = artifact_ref(artifact_id)
         tokens = {
             dst.removeprefix("run:")
@@ -112,10 +116,13 @@ class LineageLog:
         }
 
         def sort_key(token: str):
-            try:
-                return (run_store.load(token).started_at, token)
-            except RunNotFoundError:
-                return ("", token)
+            started = run_store.started_at(token)
+            if started is None:
+                try:
+                    started = run_store.load(token).started_at
+                except RunNotFoundError:
+                    started = ""
+            return (started, token)
 
         return sorted(tokens, key=sort_key)
 

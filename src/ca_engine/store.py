@@ -18,8 +18,9 @@ see :mod:`ca_engine.journal` for when it is trusted and who rewrites it.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
-import shutil
+import stat
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -134,6 +135,7 @@ class ArtifactStore:
         repo.require()
         self._repo = repo
         self._index = Journal(repo.index_path, _index_key, group=lambda key: (key[1],))
+        self._copy_stat: tuple[int, int, int] | None = None  # mode, owner and group of the last new copy
 
     # -- internals ---------------------------------------------------------
 
@@ -168,14 +170,52 @@ class ArtifactStore:
         return data
 
     def copy_to(self, artifact_id: ArtifactId, dest: Path) -> None:
-        """Copy the stored bytes to a new file ``dest``, inside the kernel.
+        """Make ``dest`` hold the stored bytes, copied inside the kernel.
 
-        The bytes are not hashed: callers check the id with
-        :meth:`WriteBatch.check` first. ``dest`` is a file of its own, so
-        writing to it never reaches the store.
+        A ``dest`` that is a regular file with one link, and with the mode,
+        owner and group of this store's last new copy, is rewritten in place:
+        the bytes go over its old ones and it is cut to their length, so a
+        pool thread's kept input file costs no new inode. Any other ``dest``
+        is unlinked, and the bytes go into a new file. Either way ``dest`` is
+        a file of its own, so writing to it never reaches the store or another
+        link. The bytes are not hashed: callers check the id with
+        :meth:`WriteBatch.check` first.
         """
         with self._object_errors(artifact_id.hash):
-            shutil.copyfile(self.object_path(artifact_id.hash), dest)
+            src = os.open(self.object_path(artifact_id.hash), os.O_RDONLY)
+            try:
+                size = os.fstat(src).st_size
+                try:
+                    # O_NONBLOCK: a FIFO at dest fails the open instead of blocking it.
+                    fd = os.open(dest, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+                except FileNotFoundError:
+                    fd = -1
+                except OSError:  # a symlink, or a FIFO no one reads
+                    os.unlink(dest)
+                    fd = -1
+                else:
+                    st = os.fstat(fd)
+                    if not (
+                        stat.S_ISREG(st.st_mode)
+                        and st.st_nlink == 1
+                        and (st.st_mode, st.st_uid, st.st_gid) == self._copy_stat
+                    ):
+                        os.close(fd)
+                        os.unlink(dest)
+                        fd = -1
+                if fd < 0:
+                    fd = os.open(dest, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+                    st = os.fstat(fd)
+                    self._copy_stat = (st.st_mode, st.st_uid, st.st_gid)
+                try:
+                    copied = 0
+                    while copied < size and (sent := os.sendfile(fd, src, copied, size - copied)):
+                        copied += sent
+                    os.ftruncate(fd, copied)
+                finally:
+                    os.close(fd)
+            finally:
+                os.close(src)
 
     @contextmanager
     def _object_errors(self, digest: str):

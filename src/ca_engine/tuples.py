@@ -328,16 +328,17 @@ class RunStore:
     Each record is one ``runs/<run-id>.json`` file, the source of truth for
     its run. ``runs.jsonl`` is a :class:`Journal` caching each record's
     :meth:`RunRecord.summary`, keyed by run id and the SHA-256 of the record
-    file's bytes: :meth:`record` appends a row after it writes the file, and
-    :meth:`summaries` uses a row only while the file still hashes to its
-    digest, loading the record itself otherwise.
+    file's bytes and grouped by run id: :meth:`record` appends a row after it
+    writes the file, and :meth:`summaries` uses a row only while the file
+    still hashes to its digest, loading the record itself otherwise.
+    :meth:`started_at` reads only the row.
     """
 
     def __init__(self, repo: Repository, store: ArtifactStore):
         repo.require()
         self.repo = repo
         self._store = store
-        self._summaries = Journal(repo.runs_journal_path, _summary_key)
+        self._summaries = Journal(repo.runs_journal_path, _summary_key, group=lambda key: (key[0],))
 
     def run_path(self, run_id: str):
         return self.repo.runs_dir / f"{run_id}.json"
@@ -416,6 +417,11 @@ class RunStore:
             raise RunNotFoundError(f"no run {run_id}")
         return record
 
+    def started_at(self, run_id: str) -> str | None:
+        """The run's start time from its first ``runs.jsonl`` row, without reading its record; None without a row."""
+        keys = self._summaries.group(run_id)
+        return self._summaries.get(keys[0])["summary"]["started_at"] if keys else None
+
     def summaries(self) -> list[dict]:
         """Every run's :meth:`RunRecord.summary`, in :meth:`list` order.
 
@@ -424,6 +430,7 @@ class RunStore:
         decoded from the bytes just read, so a damaged one raises as
         :meth:`load` would.
         """
+        rows = self._summaries.rows()
         summaries = []
         with os.scandir(self.repo.runs_dir) as entries:
             for entry in entries:
@@ -433,7 +440,7 @@ class RunStore:
                     payload = _read_record(entry.path)
                 except FileNotFoundError:
                     continue
-                row = self._summaries.get((entry.name[: -len(".json")], sha256_hex(payload)))
+                row = rows.get((entry.name[: -len(".json")], sha256_hex(payload)))
                 if row is None:
                     summaries.append(decode_state(self.repo.runs_dir / entry.name, payload, RunRecord.from_dict).summary())
                 else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -123,3 +124,31 @@ def test_process_executor_passes_whitelisted_env(tmp_path):
     )
     assert result.outputs["out"] == b"hello-env"
     assert result.env_snapshot == b"CA_TEST_VALUE=hello-env\n"
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited; a zombie waiting to be reaped has."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_finished_step_leaves_no_process_behind(tmp_path):
+    workdir = tmp_path / "detach"
+    workdir.mkdir()
+    out = workdir / "out"
+    result = ProcessExecutor().run(
+        f"(sleep 0.3; echo x > in.late) >/dev/null 2>&1 & echo $! > {out}",
+        inputs={},
+        outputs={"out": out},
+        env={},
+        workdir=workdir,
+    )
+    assert result.exit_code == 0
+    background = int(result.outputs["out"])
+    time.sleep(0.6)
+    assert not (workdir / "in.late").exists()
+    assert not alive(background)

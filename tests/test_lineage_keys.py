@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ca_engine import journal, lineage
+from ca_engine.cli import main
 from ca_engine.errors import IntegrityViolationError, RunNotFoundError
 from ca_engine.journal import KEY_FILE_SLACK, Journal
 from ca_engine.lineage import LineageEdge, LineageLog, _edge_ends, _edge_key
@@ -35,6 +38,9 @@ EDGES = st.one_of(
 
 class NoRuns:
     """A run store with no records, so ``runs_using`` orders runs by id."""
+
+    def started_at(self, token):
+        return None
 
     def load(self, token):
         raise RunNotFoundError(token)
@@ -257,3 +263,38 @@ def test_a_version_3_lineage_key_file_is_ignored_with_correct_answers(repo):
     assert log._journal.covered == repo.lineage_path.stat().st_size
     expected = [brute_runs_using(edges, node) for node in nodes] + [brute_provenance(edges, node) for node in nodes]
     assert queries(log, nodes) == expected
+
+
+def test_who_uses_orders_its_runs_by_start_time_from_the_run_journal_and_opens_no_record(repo, store, run_store, monkeypatch, capsys):
+    hot = store.put(ArtifactKind.DATA, b"hot")
+    avt = baseline_tuple(data_content=hot.hash)
+    # Start times out of id order, two runs sharing one, so ties fall back to the id.
+    starts = [f"2024-01-{1 + (n * 7) % 11:02d}T00:00:00.000000Z" for n in range(24)]
+    log = LineageLog(repo)
+    for started_at in starts:
+        log.record_edges(make_run(store, run_store, avt=avt, started_at=started_at, steps=1), store=store)
+    # A run with edges but no record sorts first, as one with no start time.
+    log.append_edges([LineageEdge(lineage.artifact_ref(hot), "run:000000000000-000001", "pinned")])
+    runs_dir = repo.runs_dir.resolve()
+
+    def today(token):
+        try:
+            return (run_store.load(token).started_at, token)
+        except RunNotFoundError:
+            return ("", token)
+
+    expected = sorted(LineageLog(repo).runs_using(hot, run_store=run_store), key=today)
+    assert expected[0] == "000000000000-000001" and len(expected) == 25
+    opened = []
+    real_open, real_os_open = io.open, os.open
+
+    def watch(path):
+        if Path(os.fspath(path)).resolve().parent == runs_dir:
+            opened.append(path)
+
+    monkeypatch.setattr(io, "open", lambda path, *a, **k: (watch(path), real_open(path, *a, **k))[1])
+    monkeypatch.setattr(os, "open", lambda path, *a, **k: (watch(path), real_os_open(path, *a, **k))[1])
+    assert main(["lineage", "who-uses", str(hot), "--json", "--repo", str(repo.root)]) == 0
+    assert json.loads(capsys.readouterr().out)["runs"] == expected
+    # Only the run with no row is looked for, and it has no record file.
+    assert [Path(path).name for path in opened] == ["000000000000-000001.json"]

@@ -10,9 +10,10 @@ import pytest
 from ca_engine import tuples
 from ca_engine.cli import main
 from ca_engine.flow import RecordingExecutor, parse_manifest
+from ca_engine.journal import KEY_FILE_SLACK
 from ca_engine.lineage import replay_check
 from ca_engine.pipeline import make_event
-from ca_engine.store import ArtifactKind
+from ca_engine.store import ArtifactKind, sha256_hex
 from ca_engine.tuples import RunRecord, RunStore
 from ca_engine.util import canonical_json
 from helpers import e2e_manifest, e2e_scripts, journal_rows, make_run, seed_main, tear
@@ -182,3 +183,35 @@ def test_recording_a_run_on_a_fresh_store_keys_only_its_own_row(repo, store, run
     record = make_run(store, fresh)
     assert keyed == [record.run_id]
     assert fresh.summaries() == expected(run_store)
+
+
+def fill_past_the_slack(repo, store, run_store) -> list[RunRecord]:
+    records = []
+    while not repo.runs_journal_path.exists() or repo.runs_journal_path.stat().st_size < KEY_FILE_SLACK:
+        records.append(make_run(store, run_store, steps=1))
+    return records
+
+
+def test_a_writer_that_has_not_read_the_journal_keeps_its_key_file_current_past_the_slack(repo, store, run_store, capsys):
+    records = fill_past_the_slack(repo, store, run_store)
+    assert repo.runs_journal_path.with_suffix(".idx").exists()
+    records += [make_run(store, RunStore(repo, store), steps=1) for _ in range(2)]
+    fresh = RunStore(repo, store)
+    assert fresh._summaries.covered == repo.runs_journal_path.stat().st_size
+    assert [fresh.started_at(record.run_id) for record in records] == [record.started_at for record in records]
+    assert fresh.started_at("0123456789ab-000001") is None
+    code, out, _ = run_ls(repo, capsys, "--json")
+    assert code == 0 and json.loads(out) == {"runs": expected(run_store)}
+
+
+def test_a_writer_appends_past_a_damaged_line_and_leaves_it_to_readers(repo, store, run_store, capsys):
+    fill_past_the_slack(repo, store, run_store)
+    first, *rest = repo.runs_journal_path.read_text().splitlines(keepends=True)
+    repo.runs_journal_path.write_text(first + '{"sha256": "' + "\n" + "".join(rest))
+    record = make_run(store, RunStore(repo, store), steps=1)
+    digest = sha256_hex(run_store.run_path(record.run_id).read_bytes())
+    last = repo.runs_journal_path.read_text().splitlines()[-1]
+    assert json.loads(last) == {"sha256": digest, "summary": record.summary()}
+    code, _, err = run_ls(repo, capsys, "--json")
+    assert code == 3
+    assert "integrity-violation" in err and f"{repo.runs_journal_path}: line 2:" in err

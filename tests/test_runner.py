@@ -866,7 +866,7 @@ def test_an_indexed_upstream_output_is_checked_before_a_downstream_task_gets_it(
 
 
 @pytest.mark.parametrize("count", [4, 16])
-def test_a_run_makes_one_directory_per_task_and_walks_no_tree(count, repo, store, run_store, monkeypatch):
+def test_a_run_makes_one_directory_per_pool_thread_and_walks_no_tree(count, repo, store, run_store, monkeypatch):
     blob = store.put(ArtifactKind.DATA, b"shared input\n" * 64)
     graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, count)))
     tmp = repo.tmp_dir.resolve()
@@ -889,8 +889,7 @@ def test_a_run_makes_one_directory_per_task_and_walks_no_tree(count, repo, store
         kind="validation", store=store, run_store=run_store, parallelism=2,
     )
     assert record.status == "succeeded"
-    tasks = count + 1  # the partitions and the merge
-    assert len(made) == tasks + 1  # one workdir each, and the run root
+    assert len(made) <= 2 + 1  # one workdir per pool thread, and the run root
     assert walked == []
     assert list(repo.tmp_dir.iterdir()) == []
 

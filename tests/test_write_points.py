@@ -23,7 +23,8 @@ PACKAGE = Path(ca_engine.__file__).parent
 # (module, function) -> why it writes a file itself.
 ALLOWED = {
     ("cli.py", "cmd_artifact_get"): "`ca artifact get -o` writes the user's output file",
-    ("store.py", "ArtifactStore.copy_to"): "copies an object into a task's own input file",
+    ("store.py", "ArtifactStore.copy_to"): "rewrites a task's input file in place with an object's bytes, or copies them into a new one",
+    ("flow/runner.py", "_take_workdir"): "renames a pool thread's kept workdir, and kept input files in it, for its next task",
 }
 
 WRITING_FUNCTIONS = {
