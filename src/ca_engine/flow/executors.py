@@ -56,39 +56,40 @@ def _remaining(deadline: float | None) -> float | None:
     return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
-def _read_to_end(pipe, deadline: float | None) -> bytes:
-    """Everything written to ``pipe`` until every writer closed it; TimeoutError past ``deadline``."""
-    fd = pipe.fileno()
+def _read_until_exit(fd: int, pidfd: int, deadline: float | None) -> list[bytes]:
+    """What is written to the pipe ``fd`` until the process behind ``pidfd`` exits; TimeoutError past ``deadline``.
+
+    The pipe and the process are polled together, so a background process
+    that keeps the pipe open does not hold up the wait. The process is left
+    unreaped.
+    """
     poller = select.poll()
     poller.register(fd, select.POLLIN)
+    poller.register(pidfd, select.POLLIN)
     chunks = []
     while True:
         timeout = _remaining(deadline)
-        if not poller.poll(None if timeout is None else timeout * 1000):
+        ready = poller.poll(None if timeout is None else timeout * 1000)
+        if not ready:
             raise TimeoutError
-        chunk = os.read(fd, 1 << 16)
-        if not chunk:
-            return b"".join(chunks)
-        chunks.append(chunk)
+        if any(polled == pidfd for polled, _ in ready):
+            return chunks
+        if chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+        else:  # every writer closed the pipe; wait for the exit alone
+            poller.unregister(fd)
 
 
-def _await_exit(pid: int, deadline: float | None) -> None:
-    """Wait for the child to exit, leaving it unreaped; TimeoutError past ``deadline``.
-
-    With a deadline the child is polled, with growing sleeps, as
-    :meth:`subprocess.Popen.wait` polls it.
-    """
-    flags = os.WEXITED | os.WNOWAIT
-    if deadline is None:
-        os.waitid(os.P_PID, pid, flags)
-        return
-    delay = 0.0005
-    while os.waitid(os.P_PID, pid, flags | os.WNOHANG) is None:
-        timeout = _remaining(deadline)
-        if not timeout:
-            raise TimeoutError
-        time.sleep(min(delay, timeout))
-        delay = min(delay * 2, 0.05)
+def _read_held(fd: int) -> list[bytes]:
+    """What the pipe ``fd`` holds now, read without blocking."""
+    os.set_blocking(fd, False)
+    chunks = []
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except BlockingIOError:
+        pass
+    return chunks
 
 
 class ProcessExecutor(StepExecutor):
@@ -97,7 +98,10 @@ class ProcessExecutor(StepExecutor):
     Each step leads a session of its own. Once its process exits, or its
     timeout passes, every process left in its group is killed, so a step
     leaves no process behind to write into a workdir or input file that a
-    later task reuses.
+    later task reuses. The log is what the step's processes wrote to its
+    output until its process exited: a background process that keeps the
+    output open does not hold up the step, and what it writes later is not
+    captured. The exit is awaited through a pidfd (Linux 5.3 or later).
     """
 
     def __init__(self, timeout: float | None = None):
@@ -106,14 +110,13 @@ class ProcessExecutor(StepExecutor):
     def run(self, command, *, inputs, outputs, env, workdir) -> ExecResult:
         if not command.strip():
             raise SpawnFailureError("empty command")
-        child_env = dict(os.environ)
-        child_env.update(env)
         try:
             proc = subprocess.Popen(
                 command,
                 shell=True,
                 cwd=workdir,
-                env=child_env,
+                # With no whitelisted variable, the step inherits this environment without a copy.
+                env={**os.environ, **env} if env else None,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
                 start_new_session=True,
@@ -123,15 +126,20 @@ class ProcessExecutor(StepExecutor):
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
         try:
             with proc:  # reaps the leader on the way out
+                fd = proc.stdout.fileno()
+                pidfd = -1
                 try:
-                    log = _read_to_end(proc.stdout, deadline)
-                    _await_exit(proc.pid, deadline)
+                    pidfd = os.pidfd_open(proc.pid)
+                    chunks = _read_until_exit(fd, pidfd, deadline)
                 finally:
                     # The leader is not reaped yet, so its id still names only the step's group.
                     try:
                         os.killpg(proc.pid, signal.SIGKILL)
                     except ProcessLookupError:
                         pass
+                    if pidfd >= 0:
+                        os.close(pidfd)
+                log = b"".join(chunks + _read_held(fd))
         except TimeoutError as exc:
             raise ExecutorFailureError(f"command timed out after {self.timeout}s: {command}") from exc
         collected: dict[str, bytes] = {}

@@ -31,12 +31,21 @@ Each pool thread keeps one workdir for the whole run, as Bazel's
 ``--reuse_sandbox_directories`` does. Teardown unlinks the outputs and keeps
 the input copies. The thread's next task renames the directory to its own
 name, renames a kept copy it has no use for to an input name it lacks or else
-unlinks it, and :meth:`ArtifactStore.copy_to` rewrites each kept copy in
-place. So a thread makes one directory per run, and creates an input file
-only for a name it did not keep. A workdir holding anything but regular
-files with the engine's input names is removed with a tree walk, and the
-thread's next task makes a new one. At the end of a run, aborted or not,
-each thread's kept workdir is removed.
+unlinks it. :meth:`ArtifactStore.copy_to` leaves untouched a kept copy of
+the same bytes whose stat still equals the stamp it returned for that copy,
+and rewrites any other kept copy in place. Each copy's modification time is
+set by the engine, about one second before the copy, to a time no write can
+give it; a write, truncate, store through a shared mapping, ``chmod``,
+``link`` or replacement of the file changes its modification time, change
+time, mode, link count or inode, so the stamp no longer matches. A step that
+writes and then restores the modification time still moves the change time,
+except on a kernel that records it at a clock tick, where a change within
+the tick of the copy can keep it. So a thread makes one directory per run,
+creates an input file only for a name it did not keep, and copies an input
+again only when its bytes or its copy changed. A workdir holding anything
+but regular files with the engine's input names is removed with a tree
+walk, and the thread's next task makes a new one. At the end of a run,
+aborted or not, each thread's kept workdir is removed.
 """
 
 from __future__ import annotations
@@ -49,11 +58,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from ..errors import FlowValidationError, MalformedMetricsError, UnresolvedInputError
 from ..feedback import collect
-from ..store import ArtifactId, ArtifactKind, ArtifactStore, WriteBatch
+from ..store import ArtifactId, ArtifactKind, ArtifactStore, CopyStamp, WriteBatch
 from ..tuples import ArtifactVersionTuple, RunRecord, RunStore, StepOutcome
 from ..util import canonical_json, utc_now_iso
 from .executors import StepExecutor
@@ -181,8 +190,9 @@ class _RunContext:
         self.outcomes: dict[str, StepOutcome] = {}
         # Set by the first task that raises; tasks that start later do nothing.
         self.aborted = threading.Event()
-        # Each pool thread's kept workdir and the input files left in it, by thread id.
-        self.kept: dict[int, tuple[Path, set[str]]] = {}
+        # Each pool thread's kept workdir and the input files left in it, with
+        # the stamp copy_to returned for each, by thread id.
+        self.kept: dict[int, tuple[Path, dict[str, CopyStamp | None]]] = {}
 
 
 def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: ArtifactStore) -> dict[InputRef, ArtifactId]:
@@ -229,31 +239,35 @@ def _remove_dir(path: Path, files: Iterable[Path] = ()) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def _take_workdir(ctx: _RunContext, workdir: Path, names: list[str]) -> None:
+def _take_workdir(ctx: _RunContext, workdir: Path, names: Collection[str]) -> dict[str, CopyStamp | None]:
     """Make ``workdir`` from this thread's kept workdir, or a new one, with no file but kept copies among ``names``.
 
     A kept file the task has no use for is renamed to a name it needs and
-    lacks, or else unlinked.
+    lacks, or else unlinked. Returns the kept copies' stamps by the names
+    they were kept under, so a renamed copy has none.
     """
     kept = ctx.kept.pop(threading.get_ident(), None)
     if kept is None:
         os.mkdir(workdir)
-        return
+        return {}
     path, files = kept
     os.rename(path, workdir)
     lacking = [name for name in names if name not in files]
-    for name in files.difference(names):
+    for name in files.keys() - names:
         if lacking:
             os.rename(workdir / name, workdir / lacking.pop())
         else:
             os.unlink(workdir / name)
+    return files
 
 
-def _keep_workdir(ctx: _RunContext, workdir: Path, names: set[str], outputs: Iterable[Path]) -> None:
-    """Unlink the outputs and keep ``workdir`` for this thread's next task, or remove it.
+def _keep_workdir(
+    ctx: _RunContext, workdir: Path, stamps: Mapping[str, CopyStamp | None], outputs: Iterable[Path]
+) -> None:
+    """Unlink the outputs and keep ``workdir`` and its copies' stamps for this thread's next task, or remove it.
 
     It is kept only when it is still a directory holding nothing but regular
-    files named as the engine named its input copies.
+    files named as the engine named its input copies, the keys of ``stamps``.
     """
     try:
         for path in outputs:
@@ -269,8 +283,8 @@ def _keep_workdir(ctx: _RunContext, workdir: Path, names: set[str], outputs: Ite
             os.close(fd)
     except OSError:
         left = None
-    if left is not None and all(left.values()) and left.keys() <= names:
-        ctx.kept[threading.get_ident()] = (workdir, set(left))
+    if left is not None and all(left.values()) and left.keys() <= stamps.keys():
+        ctx.kept[threading.get_ident()] = (workdir, {name: stamps[name] for name in left})
     else:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -280,16 +294,16 @@ def _execute_task(ctx: _RunContext, task: _Task) -> bool:
     workdir = ctx.workdir_root / task.key
     input_paths = {item.key: workdir / f"in.{item.file}" for item in task.inputs}
     declared_outputs = {slot: workdir / f"out.{slot}" for slot in task.outputs}
-    names = [path.name for path in input_paths.values()]
+    stamps: dict[str, CopyStamp | None] = dict.fromkeys(path.name for path in input_paths.values())
     # The executor returns the outputs' bytes, so the workdir is torn down as soon as it returns.
     try:
-        _take_workdir(ctx, workdir, names)
+        kept = _take_workdir(ctx, workdir, stamps)
         substitution: dict[str, list[str]] = {}
         for item in task.inputs:
             path = input_paths[item.key]
             source = item.source if isinstance(item.source, ArtifactId) else ctx.outputs[item.source]
             ctx.batch.check(source)
-            ctx.store.copy_to(source, path)
+            stamps[path.name] = ctx.store.copy_to(source, path, kept.get(path.name))
             substitution.setdefault(item.placeholder, []).append(str(path))
         for slot, path in declared_outputs.items():
             substitution[f"{{output:{slot}}}"] = [str(path)]
@@ -302,7 +316,7 @@ def _execute_task(ctx: _RunContext, task: _Task) -> bool:
             rendered, inputs=input_paths, outputs=declared_outputs, env=ctx.env, workdir=workdir
         )
     finally:
-        _keep_workdir(ctx, workdir, set(names), declared_outputs.values())
+        _keep_workdir(ctx, workdir, stamps, declared_outputs.values())
     wall_time_ms = int((time.monotonic() - started) * 1000)
 
     log_id = ctx.batch.put(ArtifactKind.RESULT, result.log, "text/plain")

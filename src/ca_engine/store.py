@@ -18,10 +18,12 @@ see :mod:`ca_engine.journal` for when it is trusted and who rewrites it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import re
 import stat
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,6 +38,18 @@ from .util import atomic_write_bytes, fsync_file, utc_now_iso
 
 HEX64_RE = re.compile(r"[0-9a-f]{64}")
 _CHUNK = 1 << 20
+_STAMP_LAG_NS = 1_000_000_000  # how far before a copy its stamped modification time lies
+
+# What ArtifactStore.copy_to knows a copy by: the digest of its bytes, then its
+# device, inode, size, modification and change times, mode, owner, group and link count.
+CopyStamp = tuple[str, int, int, int, int, int, int, int, int, int]
+
+
+def _copy_stamp(digest: str, st: os.stat_result) -> CopyStamp:
+    return (
+        digest, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns,
+        st.st_mode, st.st_uid, st.st_gid, st.st_nlink,
+    )
 
 
 def sha256_hex(data: bytes) -> str:
@@ -136,6 +150,7 @@ class ArtifactStore:
         self._repo = repo
         self._index = Journal(repo.index_path, _index_key, group=lambda key: (key[1],))
         self._copy_stat: tuple[int, int, int] | None = None  # mode, owner and group of the last new copy
+        self._copies = itertools.count()  # taken from each stamped time; next() is atomic across threads
 
     # -- internals ---------------------------------------------------------
 
@@ -169,53 +184,76 @@ class ArtifactStore:
             raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
         return data
 
-    def copy_to(self, artifact_id: ArtifactId, dest: Path) -> None:
-        """Make ``dest`` hold the stored bytes, copied inside the kernel.
+    def copy_to(self, artifact_id: ArtifactId, dest: Path, stamp: CopyStamp | None = None) -> CopyStamp:
+        """Make ``dest`` hold the stored bytes, copied inside the kernel, and return its stamp.
 
-        A ``dest`` that is a regular file with one link, and with the mode,
-        owner and group of this store's last new copy, is rewritten in place:
-        the bytes go over its old ones and it is cut to their length, so a
-        pool thread's kept input file costs no new inode. Any other ``dest``
-        is unlinked, and the bytes go into a new file. Either way ``dest`` is
-        a file of its own, so writing to it never reaches the store or another
-        link. The bytes are not hashed: callers check the id with
-        :meth:`WriteBatch.check` first.
+        After a copy, ``dest``'s access and modification times are set about
+        one second before the copy, less a count of this store's copies in
+        nanoseconds: a time no later write can give it, and one that two
+        copies stamped at the same clock reading do not share. Its stamp is
+        then the digest with ``dest``'s device, inode, size, times, mode,
+        owner, group and link count. A ``dest`` whose stat still equals
+        ``stamp`` holds these bytes and is left untouched: every write,
+        truncate and store through a shared mapping sets the modification
+        time to the present; ``chmod``, ``chown``, ``link`` and replacing the
+        file change the mode, owner, link count or inode; and every change to
+        the file, a modification time set back included, sets its change
+        time, which no call can set. On a kernel that records these times at
+        a clock tick rather than on demand, a change made within the tick of
+        the stamp may keep the change time, so only the modification time
+        shows it.
+
+        Any other ``dest`` that is a regular file with one link, and with the
+        mode, owner and group of this store's last new copy, is rewritten in
+        place: the bytes go over its old ones and it is cut to their length,
+        so a pool thread's kept input file costs no new inode. Any other
+        ``dest`` is unlinked, and the bytes go into a new file. Either way
+        ``dest`` is a file of its own, so writing to it never reaches the
+        store or another link. The bytes are not hashed: callers check the id
+        with :meth:`WriteBatch.check` first.
         """
-        with self._object_errors(artifact_id.hash):
-            src = os.open(self.object_path(artifact_id.hash), os.O_RDONLY)
+        digest = artifact_id.hash
+        with self._object_errors(digest):
             try:
-                size = os.fstat(src).st_size
-                try:
-                    # O_NONBLOCK: a FIFO at dest fails the open instead of blocking it.
-                    fd = os.open(dest, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
-                except FileNotFoundError:
-                    fd = -1
-                except OSError:  # a symlink, or a FIFO no one reads
+                # O_NONBLOCK: a FIFO at dest fails the open instead of blocking it.
+                fd = os.open(dest, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+            except FileNotFoundError:
+                fd = -1
+            except OSError:  # a symlink, or a FIFO no one reads
+                os.unlink(dest)
+                fd = -1
+            else:
+                st = os.fstat(fd)
+                if stamp is not None and _copy_stamp(digest, st) == stamp:
+                    os.close(fd)
+                    return stamp
+                if not (
+                    stat.S_ISREG(st.st_mode)
+                    and st.st_nlink == 1
+                    and (st.st_mode, st.st_uid, st.st_gid) == self._copy_stat
+                ):
+                    os.close(fd)
                     os.unlink(dest)
                     fd = -1
-                else:
-                    st = os.fstat(fd)
-                    if not (
-                        stat.S_ISREG(st.st_mode)
-                        and st.st_nlink == 1
-                        and (st.st_mode, st.st_uid, st.st_gid) == self._copy_stat
-                    ):
-                        os.close(fd)
-                        os.unlink(dest)
-                        fd = -1
-                if fd < 0:
-                    fd = os.open(dest, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
-                    st = os.fstat(fd)
-                    self._copy_stat = (st.st_mode, st.st_uid, st.st_gid)
+            if fd < 0:
+                fd = os.open(dest, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+                st = os.fstat(fd)
+                self._copy_stat = (st.st_mode, st.st_uid, st.st_gid)
+            try:
+                src = os.open(self.object_path(digest), os.O_RDONLY)
                 try:
+                    size = os.fstat(src).st_size
                     copied = 0
                     while copied < size and (sent := os.sendfile(fd, src, copied, size - copied)):
                         copied += sent
-                    os.ftruncate(fd, copied)
                 finally:
-                    os.close(fd)
+                    os.close(src)
+                os.ftruncate(fd, copied)
+                stamped = time.time_ns() - _STAMP_LAG_NS - next(self._copies)
+                os.utime(fd, ns=(stamped, stamped))
+                return _copy_stamp(digest, os.fstat(fd))
             finally:
-                os.close(src)
+                os.close(fd)
 
     @contextmanager
     def _object_errors(self, digest: str):

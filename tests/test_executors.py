@@ -126,6 +126,16 @@ def test_process_executor_passes_whitelisted_env(tmp_path):
     assert result.env_snapshot == b"CA_TEST_VALUE=hello-env\n"
 
 
+def test_an_empty_whitelist_still_inherits_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("CA_TEST_INHERITED", "inherited")
+    result = ProcessExecutor().run(
+        'printf "%s" "$CA_TEST_INHERITED"', inputs={}, outputs={}, env={}, workdir=tmp_path
+    )
+    assert result.exit_code == 0
+    assert result.log == b"inherited"
+    assert result.env_snapshot == b""
+
+
 def alive(pid: int) -> bool:
     """Whether ``pid`` is a process that has not exited; a zombie waiting to be reaped has."""
     try:
@@ -152,3 +162,40 @@ def test_a_finished_step_leaves_no_process_behind(tmp_path):
     time.sleep(0.6)
     assert not (workdir / "in.late").exists()
     assert not alive(background)
+
+
+def group_members(pgid: int) -> list[int]:
+    """Processes in group ``pgid`` that have not exited."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    fields = fh.read().rpartition(")")[2].split()
+            except FileNotFoundError:
+                continue
+            if int(fields[2]) == pgid and fields[0] != "Z":
+                members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_background_process_holding_the_output_does_not_hold_up_the_step(tmp_path, monkeypatch):
+    killed = []
+    real_killpg = os.killpg
+
+    def recording_killpg(pgid, sig):
+        killed.append(pgid)
+        real_killpg(pgid, sig)
+
+    monkeypatch.setattr(os, "killpg", recording_killpg)
+    started = time.monotonic()
+    result = ProcessExecutor().run("sleep 2 & echo hi", inputs={}, outputs={}, env={}, workdir=tmp_path)
+    assert time.monotonic() - started < 0.5
+    assert result.exit_code == 0
+    assert result.log == b"hi\n"
+    (group,) = killed
+    deadline = time.monotonic() + 1
+    while group_members(group) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert group_members(group) == []

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import shutil
 import stat
 import tempfile
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +84,40 @@ def test_a_wide_flow_creates_the_shared_input_once_per_pool_thread(tmp_path, mon
     assert list(repo.tmp_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_wide_flow_copies_the_shared_input_once_per_pool_thread(tmp_path, monkeypatch, parallelism):
+    repo = Repository(tmp_path / ".ca")
+    repo.init()
+    store = ArtifactStore(repo)
+    data = b"shared input\n" * 4096
+    blob = store.put(ArtifactKind.DATA, data)
+    graph = parse_manifest(json.dumps(fan_manifest(32)))
+    opened: dict[int, str] = {}  # an open fd's number names the file os.open last returned it for
+    copied = []
+    real_open, real_sendfile = os.open, os.sendfile
+
+    def recording_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        opened[fd] = Path(path).name
+        return fd
+
+    def counting_sendfile(out_fd, in_fd, offset, count):
+        sent = real_sendfile(out_fd, in_fd, offset, count)
+        if opened.get(out_fd) == "in.src":
+            copied.append(sent)
+        return sent
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "sendfile", counting_sendfile)
+    record = execute(
+        graph, baseline_tuple(data_content=blob.hash),
+        RecordingExecutor({"fan.merge": ScriptedResult({"merged": b"merged"})}, default=ScriptedResult({"part": b"p"})),
+        kind="validation", store=store, run_store=RunStore(repo, store), parallelism=parallelism,
+    )
+    assert record.status == "succeeded"
+    assert len(data) <= sum(copied) <= parallelism * len(data)
+
+
 # -- steps that misbehave on their inputs or their workdir ------------------------
 
 
@@ -94,6 +132,36 @@ def append(path, workdir, outside):
 
 def truncate(path, workdir, outside):
     os.truncate(path, 3)
+
+
+def pwrite_in_place(path, workdir, outside):
+    """Change the first byte and keep the size."""
+    fd = os.open(path, os.O_RDWR)
+    try:
+        first = os.pread(fd, 1, 0)
+        os.pwrite(fd, bytes([first[0] ^ 0xFF]) if first else b"x", 0)
+    finally:
+        os.close(fd)
+
+
+def store_through_a_shared_mapping(path, workdir, outside):
+    with open(path, "r+b") as fh:
+        if os.fstat(fh.fileno()).st_size:
+            with mmap.mmap(fh.fileno(), 0) as mapped:
+                mapped[0] ^= 0xFF
+
+
+def touch_to_now(path, workdir, outside):
+    os.utime(path)
+
+
+def copy_the_other_input_over(path, workdir, outside):
+    """``shutil.copy2`` a sibling input of the same size over this one: bytes, mode and times."""
+    size = path.stat().st_size
+    for other in workdir.glob("in.*"):
+        if other != path and not other.is_symlink() and other.is_file() and other.stat().st_size == size:
+            shutil.copy2(other, path)
+            return
 
 
 def delete(path, workdir, outside):
@@ -134,7 +202,8 @@ def leave_a_directory(path, workdir, outside):
 
 
 MISBEHAVIOURS = [
-    write, append, truncate, delete, make_read_only, open_to_all,
+    write, append, truncate, pwrite_in_place, store_through_a_shared_mapping, touch_to_now, copy_the_other_input_over,
+    delete, make_read_only, open_to_all,
     link_elsewhere, replace_by_symlink, replace_by_directory, leave_a_file, leave_a_directory,
 ]
 
@@ -165,13 +234,14 @@ def test_each_task_sees_exactly_its_inputs_whatever_the_task_before_it_did(steps
         repo.init()
         store = ArtifactStore(repo)
         data = b"shared input\n" * 300
+        aux_data = b"an aux input\n" * 300  # the size of data, so that a copy of one over the other keeps the size
         blob = store.put(ArtifactKind.DATA, data)
-        aux = store.put(ArtifactKind.CODE, b"aux\n")
+        aux = store.put(ArtifactKind.CODE, aux_data)
         graph = parse_manifest(json.dumps(fan_manifest(len(steps), str(aux))))
 
         def partition(*, command, inputs, outputs, env, workdir):
             index = int(command.split()[-1])
-            assert_sees_exactly(workdir, inputs, {"src": data, "aux": b"aux\n"})
+            assert_sees_exactly(workdir, inputs, {"src": data, "aux": aux_data})
             for misbehave, key in steps[index][0]:
                 if os.path.isfile(inputs[key]) and not os.path.islink(inputs[key]):
                     misbehave(inputs[key], workdir, outside)
@@ -197,3 +267,36 @@ def test_each_task_sees_exactly_its_inputs_whatever_the_task_before_it_did(steps
         assert list(repo.tmp_dir.iterdir()) == []
         # A link or symlink target a step made outside still holds what the step left: no later copy reached it.
         assert {path.name: path.read_bytes() for path in outside.iterdir()} == left
+
+
+def test_a_write_hidden_by_restoring_the_modification_time_is_still_seen(tmp_path):
+    repo = Repository(tmp_path / ".ca")
+    repo.init()
+    store = ArtifactStore(repo)
+    data = b"shared input\n" * 300
+    blob = store.put(ArtifactKind.DATA, data)
+    graph = parse_manifest(json.dumps(fan_manifest(2)))
+    inodes = []
+
+    def partition(*, command, inputs, outputs, env, workdir):
+        index = int(command.split()[-1])
+        path = inputs["src"]
+        before = os.stat(path)
+        inodes.append(before.st_ino)
+        assert path.read_bytes() == data
+        if index == 0:
+            path.write_bytes(data.upper())
+            time.sleep(0.02)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = os.stat(path)
+            assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        return ScriptedResult({"part": part(index)}, 0, b"")
+
+    record = execute(
+        graph, baseline_tuple(data_content=blob.hash),
+        RecordingExecutor({"fan.merge": ScriptedResult({"merged": b"merged"})}, default=partition),
+        kind="validation", store=store, run_store=RunStore(repo, store), parallelism=1,
+    )
+    assert record.status == "succeeded"
+    assert inodes[0] == inodes[1]  # the kept copy was checked, and rewritten in place
+    assert store.verify(blob)

@@ -23,7 +23,10 @@ PACKAGE = Path(ca_engine.__file__).parent
 # (module, function) -> why it writes a file itself.
 ALLOWED = {
     ("cli.py", "cmd_artifact_get"): "`ca artifact get -o` writes the user's output file",
-    ("store.py", "ArtifactStore.copy_to"): "rewrites a task's input file in place with an object's bytes, or copies them into a new one",
+    ("store.py", "ArtifactStore.copy_to"): (
+        "leaves untouched a kept copy whose stamp matches; otherwise rewrites a task's input file in place"
+        " with an object's bytes, or copies them into a new one"
+    ),
     ("flow/runner.py", "_take_workdir"): "renames a pool thread's kept workdir, and kept input files in it, for its next task",
 }
 
