@@ -121,12 +121,21 @@ def collect(
     return bundle, bundle_id
 
 
-def load_bundle(run: RunRecord, *, store: ArtifactStore) -> FeedbackBundle:
+def _bundle_doc(run: RunRecord, store: ArtifactStore) -> dict:
     if run.feedback_id is None:
         raise MissingFeedbackError(f"run {run.run_id} has no feedback bundle")
-    doc = json.loads(store.get(run.feedback_id).decode("utf-8"))
+    return json.loads(store.get(run.feedback_id).decode("utf-8"))
+
+
+def load_bundle(run: RunRecord, *, store: ArtifactStore) -> FeedbackBundle:
+    doc = _bundle_doc(run, store)
     entries = [_entry_from_dict(e) for e in doc["entries"]]
     return FeedbackBundle(doc["run_id"], doc["engine_version"], entries, dict(doc["metrics"]))
+
+
+def bundle_metrics(run: RunRecord, *, store: ArtifactStore) -> dict[str, float]:
+    """The metrics of the run's feedback bundle, verified by ``store.get``; its entries are not decoded."""
+    return dict(_bundle_doc(run, store)["metrics"])
 
 
 @dataclass(frozen=True)
@@ -247,13 +256,12 @@ def compare_runs(run_a: str, run_b: str, *, run_store: RunStore, store: Artifact
         raise NotAlignedError(
             f"runs {run_a} and {run_b} have different tuple component sets and are not comparable"
         )
-    bundle_a = load_bundle(rec_a, store=store)
-    bundle_b = load_bundle(rec_b, store=store)
-    common = sorted(set(bundle_a.metrics) & set(bundle_b.metrics))
+    metrics_a = bundle_metrics(rec_a, store=store)
+    metrics_b = bundle_metrics(rec_b, store=store)
+    common = sorted(set(metrics_a) & set(metrics_b))
     deltas = tuple(
-        MetricDelta(name, bundle_a.metrics[name], bundle_b.metrics[name], bundle_b.metrics[name] - bundle_a.metrics[name])
-        for name in common
+        MetricDelta(name, metrics_a[name], metrics_b[name], metrics_b[name] - metrics_a[name]) for name in common
     )
-    only_a = {k: v for k, v in bundle_a.metrics.items() if k not in bundle_b.metrics}
-    only_b = {k: v for k, v in bundle_b.metrics.items() if k not in bundle_a.metrics}
+    only_a = {k: v for k, v in metrics_a.items() if k not in metrics_b}
+    only_b = {k: v for k, v in metrics_b.items() if k not in metrics_a}
     return RunComparison(run_a, run_b, deltas, only_a, only_b, tuple(diff_tuples(rec_a.tuple, rec_b.tuple)))

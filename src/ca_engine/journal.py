@@ -17,14 +17,30 @@ Git's pack ``.idx``. For a prefix of the journal it holds fixed-width
 records sorted by digest and line: for each row and each of its lookup
 values (the values ``group`` returns, or the row's key when the journal has
 no ``group``), a digest of the value, the row's line number and its byte
-offset. It also holds the prefix's length, line count and SHA-256, and a
-SHA-256 of its own bytes. A reader trusts it only when both digests hold
-and the prefix ends with a newline. A point lookup then bisects the records
-of the key's first value and a group lookup those of its value, decodes
-only the candidate lines, in line order and keeping the first row per key,
-and parses only the lines after the prefix. Otherwise the whole journal is
-parsed, so damage anywhere in it is reported as without a key file.
-:meth:`Journal.rows` always parses every line.
+offset. It also holds the prefix's length, line count and SHA-256, the
+journal's stat stamp (:func:`util.set_times_back`) when the key file was
+written, and a SHA-256 of its own bytes. A reader trusts it only when its
+own digest holds, the prefix ends with a newline, and either the journal's
+stat, taken after reading it, still equals the stamp or the prefix hashes
+to its digest: a journal unchanged since its writer stamped it is not
+hashed. A point lookup then bisects the records of the key's first value
+and a group lookup those of its value, decodes only the candidate lines, in
+line order and keeping the first row per key, and parses only the lines
+after the prefix. Otherwise the whole journal is parsed, so damage anywhere
+in it is reported as without a key file. :meth:`Journal.rows` always parses
+every line.
+
+The stamp is trusted as Git trusts its index's stat data. A writer stamps
+the journal just before it writes the key file, setting the journal's
+modification time back about a second, so that any later write to the
+journal, or a later restore of that time, moves the modification or change
+time. It records the stamp only while the file holds what the handle read
+or wrote: a handle that saw the journal change other than by its own
+appends first reads the prefix again and checks it against the digest. A
+handle that trusted a stamp has no SHA-256 state to carry on, so it hashes
+the prefix it read once, on its first rewrite. The limit is the change
+time's clock: on a kernel that records it at a clock tick, a write and a
+restored modification time within the tick of the stamp go unseen.
 
 Readers never write a key file. Once a journal holds ``KEY_FILE_SLACK``
 bytes, each append by a writer that has read the whole journal extends the
@@ -52,7 +68,7 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import IntegrityViolationError, InvalidTupleError, StorageError
-from .util import append_line, canonical_json, overwrite_bytes
+from .util import FileStamp, append_line, canonical_json, file_stamp, overwrite_bytes, set_times_back
 
 _TAIL_BLOCK = 1 << 16  # bytes read per step when an append looks back for the last newline
 
@@ -60,8 +76,11 @@ _TAIL_BLOCK = 1 << 16  # bytes read per step when an append looks back for the l
 KEY_FILE_SLACK = 32 * 1024
 
 # <name>.idx: header, records sorted by (digest, line), then the SHA-256 of both.
-_KEYS_HEADER = struct.Struct(">8sQQ32s")  # magic, covered bytes, covered lines, SHA-256 of the covered bytes
-_KEYS_MAGIC = b"caidx\x00\x00\x04"  # the last byte is the format version
+# The header holds the magic, covered bytes, covered lines, the SHA-256 of the
+# covered bytes, and the journal's stamp: device, inode, size, modification and change times.
+_KEYS_HEADER = struct.Struct(">8sQQ32sQQQqq")
+_KEYS_MAGIC = b"caidx\x00\x00\x05"  # the last byte is the format version
+_NO_STAMP = (0, 0, 0, 0, 0)
 _DIGEST = 16  # bytes of a record's BLAKE2b digest
 _KEYS_RECORD = struct.Struct(f">{_DIGEST}sIQ")  # digest of a lookup value, line number, offset of the line
 _ROW_ERRORS = (KeyError, TypeError, AttributeError, ValueError, InvalidTupleError)
@@ -85,17 +104,27 @@ def _bisect(records: bytes, probe: bytes) -> int:
 
 
 class _KeyFile:
-    """A key file's sorted records and the journal prefix they cover: its bytes, lines and SHA-256 state."""
+    """A key file's sorted records and the journal prefix they cover: its bytes, lines, SHA-256 and its state."""
 
-    def __init__(self, records: bytes, size: int, lines: int, sha: hashlib._Hash):
+    def __init__(self, records: bytes, size: int, lines: int, digest: bytes, sha: "hashlib._Hash | None"):
         self.records = records
         self.size = size
         self.lines = lines
-        self.sha = sha  # fed exactly the covered bytes, so a rewrite extends a copy of it
+        self.digest = digest  # the SHA-256 of the covered bytes
+        self.sha = sha  # fed exactly the covered bytes, so a rewrite extends a copy of it; None when not hashed
 
     @classmethod
-    def load(cls, path: Path, data: bytes) -> "_KeyFile | None":
-        """The key file at ``path`` if it is intact and covers a prefix of ``data`` ending in a newline."""
+    def empty(cls) -> "_KeyFile":
+        sha = hashlib.sha256()
+        return cls(b"", 0, 0, sha.digest(), sha)
+
+    @classmethod
+    def load(cls, path: Path, data: bytes, stamp: FileStamp) -> "_KeyFile | None":
+        """The key file at ``path`` if it is intact and covers a prefix of ``data`` ending in a newline.
+
+        ``stamp`` is the journal's, taken after ``data`` was read from it.
+        The prefix is hashed only when it differs from the key file's.
+        """
         try:
             raw = path.read_bytes()
         except OSError:
@@ -107,13 +136,15 @@ class _KeyFile:
             or hashlib.sha256(body).digest() != raw[-32:]
         ):
             return None
-        magic, size, lines, digest = _KEYS_HEADER.unpack_from(raw)
+        magic, size, lines, digest, *stamped = _KEYS_HEADER.unpack_from(raw)
         if magic != _KEYS_MAGIC or not 0 < size <= len(data) or data[size - 1] != ord("\n"):
             return None
-        sha = hashlib.sha256(memoryview(data)[:size])
-        if sha.digest() != digest:
-            return None
-        return cls(raw[_KEYS_HEADER.size : -32], size, lines, sha)
+        sha = None
+        if tuple(stamped) != stamp:
+            sha = hashlib.sha256(memoryview(data)[:size])
+            if sha.digest() != digest:
+                return None
+        return cls(raw[_KEYS_HEADER.size : -32], size, lines, digest, sha)
 
     def offsets(self, digest: bytes) -> list[tuple[int, int]]:
         """(line number, byte offset) of each row recorded under ``digest``, in line order, found by bisection."""
@@ -126,7 +157,10 @@ class _KeyFile:
         return found
 
     def extended(self, data: bytes, records: list[bytes]) -> "_KeyFile":
-        """A key file covering also ``data``, the complete lines after the prefix, whose records are ``records``."""
+        """A key file covering also ``data``, the complete lines after the prefix, whose records are ``records``.
+
+        Its SHA-256 state must be known.
+        """
         sha = self.sha.copy()
         sha.update(data)
         parts: list[bytes | memoryview] = []
@@ -136,10 +170,10 @@ class _KeyFile:
             parts += (view[at:cut], record)
             at = cut
         parts.append(view[at:])
-        return _KeyFile(b"".join(parts), self.size + len(data), self.lines + data.count(b"\n"), sha)
+        return _KeyFile(b"".join(parts), self.size + len(data), self.lines + data.count(b"\n"), sha.digest(), sha)
 
-    def encode(self) -> bytes:
-        body = _KEYS_HEADER.pack(_KEYS_MAGIC, self.size, self.lines, self.sha.digest()) + self.records
+    def encode(self, stamp: FileStamp) -> bytes:
+        body = _KEYS_HEADER.pack(_KEYS_MAGIC, self.size, self.lines, self.digest, *stamp) + self.records
         return body + hashlib.sha256(body).digest()
 
 
@@ -181,6 +215,10 @@ class Journal:
         self._data = b""  # the journal bytes read with it
         self._found: dict[Hashable, list[tuple[Hashable, dict]]] = {}  # covered rows by recorded value
         self._newest: _KeyFile | None = None  # the newest key file this journal read or wrote
+        # The file's stamp when this handle last knew it to hold what it read or wrote; None once it
+        # saw the file change otherwise, so its next key file rewrite hashes the prefix again.
+        self._stat: FileStamp | None = None
+        self._now: FileStamp | None = None  # the stamp of the latest stat
 
     def _values(self, key: Hashable) -> tuple[Hashable, ...]:
         """The lookup values the key file records a row with this key under, the point lookup's first."""
@@ -221,6 +259,18 @@ class Journal:
             covered = [key for key, _ in self._covered(value) if value in self._values(key)]
             return list(dict.fromkeys([*covered, *self._groups.get(value, ())]))
 
+    def holds(self, value: Hashable) -> bool:
+        """Whether some key has ``value`` among its ``group`` values; a value already held skips the file."""
+        with self._lock:
+            if self._holds(value):
+                return True
+            self._catch_up()
+            return self._holds(value)
+
+    def _holds(self, value: Hashable) -> bool:
+        """Whether a key covered or parsed has ``value`` among its values; the caller holds the lock."""
+        return value in self._groups or any(value in self._values(key) for key, _ in self._covered(value))
+
     @property
     def covered(self) -> int:
         """Bytes of the journal answered from the key file; 0 when it is not used."""
@@ -256,9 +306,10 @@ class Journal:
     def _size(self) -> int:
         """The file's size, 0 when it is missing; a file that shrank resets the parse state."""
         try:
-            size = os.stat(self.path).st_size
+            st = os.stat(self.path)
+            size, self._now = st.st_size, file_stamp(st)
         except FileNotFoundError:
-            size = 0
+            size, self._now = 0, None
         if size < self._offset:
             self._reset()
         return size
@@ -270,9 +321,13 @@ class Journal:
         with open(self.path, "rb") as fh:
             fh.seek(self._offset)
             chunk = fh.read()
+            stamp = file_stamp(os.fstat(fh.fileno()))
         start = 0
+        # Bytes another writer appended, or a change during the read, may come with a changed prefix,
+        # which only a hash would show.
+        self._stat = stamp if self._offset == 0 and stamp == self._now else None
         if self._offset == 0 and self._use_keys:
-            self._keys = self._newest = _KeyFile.load(self.keys_path, chunk)
+            self._keys = self._newest = _KeyFile.load(self.keys_path, chunk, stamp)
             if self._keys is not None:
                 self._data = chunk
                 start = self._keys.size
@@ -385,10 +440,11 @@ class Journal:
         text = "\n".join(canonical_json(row) for _, row in keyed)
         current = size == self._seen
         end = self._offset if current else self._line_end(size)
-        append_line(self.path, text, truncate_to=end if size > end else None)
+        st = append_line(self.path, text, truncate_to=end if size > end else None)
         if not current:
             self._seen = self._offset  # forget a torn tail it saw: the file past the offset changed
             return
+        self._stat = file_stamp(st) if self._stat is not None and self._stat == self._now else None
         # Under the write lock the file now ends with exactly these rows.
         for key, row in keyed:
             self._insert(key, row)
@@ -427,13 +483,33 @@ class Journal:
     def _write_keys(self) -> None:
         """:meth:`write_keys` with the journal's lock held.
 
-        It extends the newest key file this journal read or wrote, so only
-        the bytes after that one's prefix are read, hashed and decoded.
+        It stamps the journal, then extends the newest key file this journal
+        read or wrote, so only the bytes after that one's prefix are read,
+        hashed and decoded. When the handle trusted that key file's stamp, it
+        hashes the prefix it read, once. When it saw the journal change other
+        than by its own appends, it reads the prefix again and hashes it: if
+        that no longer hashes to the key file's digest, the whole journal is
+        indexed afresh.
         """
-        newest = self._newest or _KeyFile(b"", 0, 0, hashlib.sha256())
+        newest = self._newest or _KeyFile.empty()
         with open(self.path, "rb") as fh:
+            if self._stat != file_stamp(os.fstat(fh.fileno())):
+                self._stat = None  # changed since this handle last read or wrote it
+            st = set_times_back(fh.fileno())
+            prefix = None
+            if self._stat is None:  # the file may have changed under this handle: check the prefix it knows
+                prefix = fh.read(newest.size)
+            elif newest.sha is None:  # trusted by its stamp, and the file is unchanged since it was read
+                prefix = memoryview(self._data)[: newest.size]
             fh.seek(newest.size)
             tail = fh.read()
+        if prefix is not None:
+            sha = hashlib.sha256(prefix)
+            if len(prefix) == newest.size and sha.digest() == newest.digest:
+                newest = _KeyFile(newest.records, newest.size, newest.lines, newest.digest, sha)
+            else:
+                newest = _KeyFile.empty()
+                tail = self.path.read_bytes()
         tail = tail[: tail.rfind(b"\n") + 1]
         records: list[bytes] = []
         line, offset = newest.lines, newest.size
@@ -444,5 +520,6 @@ class Journal:
                 records += [_KEYS_RECORD.pack(_digest(value), line, offset) for value in self._values(key)]
             offset += len(raw) + 1
         keys = newest.extended(tail, records)
-        overwrite_bytes(self.keys_path, keys.encode())
+        self._stat = file_stamp(st) if st is not None else None
+        overwrite_bytes(self.keys_path, keys.encode(self._stat or _NO_STAMP))
         self._newest = keys

@@ -31,7 +31,7 @@ from .errors import (
     RunNotSucceededError,
     UnknownBranchError,
 )
-from .feedback import evaluate_gate, load_bundle, load_gate_policy
+from .feedback import bundle_metrics, evaluate_gate, load_gate_policy
 from .flow.graph import FlowGraph
 from .flow.runner import DataScope, execute
 from .journal import Journal
@@ -375,7 +375,7 @@ class Pipeline:
         policy = load_gate_policy(self.repo.gates_path)
         metrics: dict[str, float] = {}
         if record.feedback_id is not None:
-            metrics = load_bundle(record, store=self.store).metrics
+            metrics = bundle_metrics(record, store=self.store)
         return evaluate_gate(metrics, policy)
 
     def _check_approvable(self, run_id: str) -> RunRecord:

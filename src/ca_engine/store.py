@@ -18,12 +18,10 @@ see :mod:`ca_engine.journal` for when it is trusted and who rewrites it.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import re
 import stat
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,22 +32,18 @@ from .errors import IntegrityViolationError, NotFoundError, StorageError
 from .journal import Journal
 from .repo import Repository
 from .util import append_line  # noqa: F401  (bench/tests/test_bench.py reads this binding)
-from .util import atomic_write_bytes, fsync_file, utc_now_iso
+from .util import FileStamp, atomic_write_bytes, file_stamp, fsync_file, set_times_back, utc_now_iso
 
 HEX64_RE = re.compile(r"[0-9a-f]{64}")
 _CHUNK = 1 << 20
-_STAMP_LAG_NS = 1_000_000_000  # how far before a copy its stamped modification time lies
 
-# What ArtifactStore.copy_to knows a copy by: the digest of its bytes, then its
-# device, inode, size, modification and change times, mode, owner, group and link count.
-CopyStamp = tuple[str, int, int, int, int, int, int, int, int, int]
+# What ArtifactStore.copy_to knows a copy by: the digest of its bytes, then the
+# copy's stat stamp, mode, owner, group and link count.
+CopyStamp = tuple[str, FileStamp, int, int, int, int]
 
 
 def _copy_stamp(digest: str, st: os.stat_result) -> CopyStamp:
-    return (
-        digest, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns,
-        st.st_mode, st.st_uid, st.st_gid, st.st_nlink,
-    )
+    return (digest, file_stamp(st), st.st_mode, st.st_uid, st.st_gid, st.st_nlink)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -150,7 +144,6 @@ class ArtifactStore:
         self._repo = repo
         self._index = Journal(repo.index_path, _index_key, group=lambda key: (key[1],))
         self._copy_stat: tuple[int, int, int] | None = None  # mode, owner and group of the last new copy
-        self._copies = itertools.count()  # taken from each stamped time; next() is atomic across threads
 
     # -- internals ---------------------------------------------------------
 
@@ -184,24 +177,15 @@ class ArtifactStore:
             raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
         return data
 
-    def copy_to(self, artifact_id: ArtifactId, dest: Path, stamp: CopyStamp | None = None) -> CopyStamp:
+    def copy_to(self, artifact_id: ArtifactId, dest: Path, stamp: CopyStamp | None = None) -> CopyStamp | None:
         """Make ``dest`` hold the stored bytes, copied inside the kernel, and return its stamp.
 
-        After a copy, ``dest``'s access and modification times are set about
-        one second before the copy, less a count of this store's copies in
-        nanoseconds: a time no later write can give it, and one that two
-        copies stamped at the same clock reading do not share. Its stamp is
-        then the digest with ``dest``'s device, inode, size, times, mode,
-        owner, group and link count. A ``dest`` whose stat still equals
-        ``stamp`` holds these bytes and is left untouched: every write,
-        truncate and store through a shared mapping sets the modification
-        time to the present; ``chmod``, ``chown``, ``link`` and replacing the
-        file change the mode, owner, link count or inode; and every change to
-        the file, a modification time set back included, sets its change
-        time, which no call can set. On a kernel that records these times at
-        a clock tick rather than on demand, a change made within the tick of
-        the stamp may keep the change time, so only the modification time
-        shows it.
+        After a copy, ``dest`` is stamped with :func:`util.set_times_back`.
+        Its stamp is then the digest with ``dest``'s stat stamp, mode, owner,
+        group and link count; None when it could not be stamped. A ``dest``
+        whose stat still equals ``stamp`` holds these bytes and is left
+        untouched, with the limit that function states for a change made
+        within a clock tick of the stamp.
 
         Any other ``dest`` that is a regular file with one link, and with the
         mode, owner and group of this store's last new copy, is rewritten in
@@ -249,9 +233,8 @@ class ArtifactStore:
                 finally:
                     os.close(src)
                 os.ftruncate(fd, copied)
-                stamped = time.time_ns() - _STAMP_LAG_NS - next(self._copies)
-                os.utime(fd, ns=(stamped, stamped))
-                return _copy_stamp(digest, os.fstat(fd))
+                st = set_times_back(fd)
+                return _copy_stamp(digest, st) if st is not None else None
             finally:
                 os.close(fd)
 
@@ -333,7 +316,7 @@ class ArtifactStore:
         return [ArtifactRecord.from_dict(self._index.get(key)) for key in sorted(self._index.group(digest))]
 
     def has_hash(self, digest: str) -> bool:
-        return bool(self._index.group(digest))
+        return self._index.holds(digest)
 
     def get_by_hash(self, digest: str, lead: bytes | None = None) -> bytes | None:
         """The blob with this hash, verified in one streamed pass.

@@ -23,7 +23,7 @@ from .errors import (
 from .journal import Journal
 from .repo import Repository
 from .store import ArtifactId, ArtifactKind, ArtifactStore, is_content_hash, sha256_hex
-from .util import atomic_write_json, atomic_write_text, canonical_json, decode_state, load_state
+from .util import atomic_write_json, atomic_write_text, canonical_json, decode_state, file_stamp, load_state, stamp_path
 
 COMPONENT_RE = re.compile(r"[a-z0-9_-]+")
 BASELINE_COMPONENTS = ("code", "data", "dependencies", "deployment")
@@ -301,6 +301,11 @@ def _summary_key(row: dict) -> tuple[str, str]:
     digest, summary = row["sha256"], row["summary"]
     if not (isinstance(digest, str) and is_content_hash(digest)):
         raise ValueError(f"bad record digest {digest!r}")
+    stamp = row.get("stamp")
+    if stamp is not None and not (
+        isinstance(stamp, list) and len(stamp) == 5 and all(type(value) is int for value in stamp)
+    ):
+        raise ValueError(f"bad record stamp {stamp!r}")
     if set(summary) != set(_SUMMARY_TYPES):
         raise ValueError(f"summary fields {sorted(summary)}")
     for name, types in _SUMMARY_TYPES.items():
@@ -328,10 +333,16 @@ class RunStore:
     Each record is one ``runs/<run-id>.json`` file, the source of truth for
     its run. ``runs.jsonl`` is a :class:`Journal` caching each record's
     :meth:`RunRecord.summary`, keyed by run id and the SHA-256 of the record
-    file's bytes and grouped by run id: :meth:`record` appends a row after it
-    writes the file, and :meth:`summaries` uses a row only while the file
-    still hashes to its digest, loading the record itself otherwise.
-    :meth:`started_at` reads only the row.
+    file's bytes and grouped by run id. :meth:`record` writes the file,
+    stamps it with :func:`util.set_times_back` and appends a row carrying
+    the digest and the stamp. :meth:`summaries` uses a row without opening
+    the record while the record's stat still equals the stamp, as Git trusts
+    its index's stat data, and otherwise while the record still hashes to
+    the digest; failing both, it loads the record itself. A record is
+    replaced by a rename and never changed in place by the engine, and any
+    other change moves its modification or change time or its inode, with
+    the limit that function states for a change made within a clock tick of
+    the stamp. :meth:`started_at` reads only the row.
     """
 
     def __init__(self, repo: Repository, store: ArtifactStore):
@@ -387,8 +398,11 @@ class RunStore:
                     return
                 raise RunConflictError(f"run {record.run_id} already recorded with different content")
             atomic_write_text(path, payload)
-            digest = sha256_hex(payload.encode("utf-8"))
-            self._summaries.append([{"sha256": digest, "summary": record.summary()}])
+            row = {"sha256": sha256_hex(payload.encode("utf-8")), "summary": record.summary()}
+            stamp = stamp_path(path)
+            if stamp is not None:
+                row["stamp"] = list(stamp)
+            self._summaries.append([row])
 
     def attach_feedback(self, run_id: str, feedback_id: ArtifactId) -> None:
         """Set a recorded run's feedback bundle reference (write-once).
@@ -425,22 +439,26 @@ class RunStore:
     def summaries(self) -> list[dict]:
         """Every run's :meth:`RunRecord.summary`, in :meth:`list` order.
 
-        A record whose bytes hash to a ``runs.jsonl`` row's digest is
-        summarized from that row without being decoded; any other record is
-        decoded from the bytes just read, so a damaged one raises as
-        :meth:`load` would.
+        A record whose stat equals a ``runs.jsonl`` row's stamp is summarized
+        from that row without being opened. Any other is read, and summarized
+        from a row whose digest its bytes hash to, or else decoded from the
+        bytes just read, so a damaged one raises as :meth:`load` would.
         """
         rows = self._summaries.rows()
+        stamped = {(key[0], tuple(row["stamp"])): row for key, row in rows.items() if "stamp" in row}
         summaries = []
         with os.scandir(self.repo.runs_dir) as entries:
             for entry in entries:
                 if entry.name.startswith(".") or not entry.name.endswith(".json"):
                     continue
+                run_id = entry.name[: -len(".json")]
                 try:
-                    payload = _read_record(entry.path)
+                    row = stamped.get((run_id, file_stamp(entry.stat(follow_symlinks=False))))
+                    if row is None:
+                        payload = _read_record(entry.path)
+                        row = rows.get((run_id, sha256_hex(payload)))
                 except FileNotFoundError:
                     continue
-                row = rows.get((entry.name[: -len(".json")], sha256_hex(payload)))
                 if row is None:
                     summaries.append(decode_state(self.repo.runs_dir / entry.name, payload, RunRecord.from_dict).summary())
                 else:

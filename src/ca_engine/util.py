@@ -1,10 +1,12 @@
-"""Shared helpers: UTC timestamps, canonical JSON, atomic file writes, JSONL, engine state."""
+"""Shared helpers: UTC timestamps, canonical JSON, atomic file writes, stat stamps, JSONL, engine state."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
+import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -13,6 +15,12 @@ from typing import Any, Callable, Iterator, TypeVar
 from .errors import IntegrityViolationError, InvalidTupleError, StorageError
 
 T = TypeVar("T")
+
+_STAMP_LAG_NS = 1_000_000_000  # how far before the stamp a stamped file's modification time is set
+_stamps = itertools.count()  # taken from each stamped time, so no two stamps of this process share one
+
+# What a stat stamp knows a file by: its device, inode, size, and modification and change times in nanoseconds.
+FileStamp = tuple[int, int, int, int, int]
 
 
 def utc_now_iso() -> str:
@@ -82,6 +90,50 @@ def overwrite_bytes(path: Path, data: bytes) -> None:
             os.close(fd)
 
 
+def file_stamp(st: os.stat_result) -> FileStamp:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def set_times_back(fd: int) -> os.stat_result | None:
+    """Stamp the open file: set its access and modification times back, and return its stat after.
+
+    The time set is about one second before now, less a count of this
+    process's stamps in nanoseconds: a time no later write can give the file,
+    and one no two stamps of this process share. So a stat still equal to
+    the one returned shows the file unchanged since: every write, truncate
+    and store through a shared mapping sets the modification time to the
+    present; ``chmod``, ``chown``, ``link`` and a rename over the file move
+    the change time or the inode; and setting the modification time back
+    again moves the change time, which no call can set. The limit is the
+    change time's clock: a kernel that records it at a clock tick may keep it
+    for a change made within the tick of the stamp, so that a write followed
+    at once by restoring the modification time goes unseen.
+
+    Returns None, leaving nothing to trust, when the times cannot be set or
+    the file system did not keep the time exactly.
+    """
+    stamped = time.time_ns() - _STAMP_LAG_NS - next(_stamps)
+    try:
+        os.utime(fd, ns=(stamped, stamped))
+        st = os.fstat(fd)
+    except OSError:
+        return None
+    return st if st.st_mtime_ns == stamped else None
+
+
+def stamp_path(path: Path) -> FileStamp | None:
+    """:func:`set_times_back` on the file at ``path``, as a :data:`FileStamp`; None when it could not be stamped."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW)
+    except OSError:
+        return None
+    try:
+        st = set_times_back(fd)
+    finally:
+        os.close(fd)
+    return file_stamp(st) if st is not None else None
+
+
 def fsync_file(path: Path) -> None:
     """Flush a file written with ``durable=False`` to stable storage."""
     with _write_errors(path):
@@ -100,8 +152,8 @@ def atomic_write_json(path: Path, obj: Any) -> None:
     atomic_write_text(path, canonical_json(obj) + "\n")
 
 
-def append_line(path: Path, line: str, truncate_to: int | None = None) -> None:
-    """Durable append of ``line`` plus a newline: one write, one fsync.
+def append_line(path: Path, line: str, truncate_to: int | None = None) -> os.stat_result:
+    """Durable append of ``line`` plus a newline: one write, one fsync; the file's stat after.
 
     ``line`` may hold several newline-joined rows, which then share the fsync.
     With ``truncate_to``, the file is first cut to that many bytes. When the
@@ -121,6 +173,7 @@ def append_line(path: Path, line: str, truncate_to: int | None = None) -> None:
         except BaseException:
             fh.truncate(end)
             raise
+        return os.fstat(fh.fileno())
 
 
 def read_jsonl(path: Path) -> list[dict]:

@@ -238,6 +238,12 @@ def test_a_key_file_rewrite_hashes_only_the_appended_bytes(repo, monkeypatch):
     before = repo.lineage_path.stat().st_size
     assert log.append_edges([LineageEdge(HOT, "run:late", "pinned")]) == 1
     appended = repo.lineage_path.stat().st_size - before
+    # The query trusted the key file's stamp, so the first rewrite hashes the prefix once.
+    assert sum(hashed) == before + appended + log._journal.keys_path.stat().st_size - 32
+    hashed.clear()
+    before = repo.lineage_path.stat().st_size
+    assert log.append_edges([LineageEdge(HOT, "run:later", "pinned")]) == 1
+    appended = repo.lineage_path.stat().st_size - before
     assert sum(hashed) == appended + log._journal.keys_path.stat().st_size - 32
     monkeypatch.undo()
     assert LineageLog(repo)._journal.covered == repo.lineage_path.stat().st_size

@@ -15,7 +15,7 @@ from ca_engine.lineage import replay_check
 from ca_engine.pipeline import make_event
 from ca_engine.store import ArtifactKind, sha256_hex
 from ca_engine.tuples import RunRecord, RunStore
-from ca_engine.util import canonical_json
+from ca_engine.util import canonical_json, file_stamp
 from helpers import e2e_manifest, e2e_scripts, journal_rows, make_run, seed_main, tear
 
 
@@ -210,8 +210,9 @@ def test_a_writer_appends_past_a_damaged_line_and_leaves_it_to_readers(repo, sto
     repo.runs_journal_path.write_text(first + '{"sha256": "' + "\n" + "".join(rest))
     record = make_run(store, RunStore(repo, store), steps=1)
     digest = sha256_hex(run_store.run_path(record.run_id).read_bytes())
+    stamp = list(file_stamp(run_store.run_path(record.run_id).stat()))
     last = repo.runs_journal_path.read_text().splitlines()[-1]
-    assert json.loads(last) == {"sha256": digest, "summary": record.summary()}
+    assert json.loads(last) == {"sha256": digest, "stamp": stamp, "summary": record.summary()}
     code, _, err = run_ls(repo, capsys, "--json")
     assert code == 3
     assert "integrity-violation" in err and f"{repo.runs_journal_path}: line 2:" in err

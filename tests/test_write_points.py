@@ -4,7 +4,9 @@ A crash-injection sweep can then hook every write point in one module. Each
 module under ``src/ca_engine`` other than ``util.py`` is parsed with ``ast``,
 and a call that writes a file is an error unless its function is on the
 allowlist. Writing calls are ``os.fsync``, ``os.replace``, ``os.rename``,
-``os.truncate``, ``tempfile.mkstemp``, ``shutil`` copies and moves,
+``os.truncate``, ``os.ftruncate``, ``os.pwrite``, ``os.sendfile``,
+``os.utime`` (a stat stamp is a write too), ``tempfile.mkstemp``,
+``shutil`` copies and moves,
 ``Path.write_bytes``/``write_text``, ``os.open`` with a write flag, and
 ``open``/``Path.open``/``os.fdopen`` with a mode that writes, appends,
 creates or updates.
@@ -31,7 +33,7 @@ ALLOWED = {
 }
 
 WRITING_FUNCTIONS = {
-    "os": {"fsync", "replace", "rename", "truncate"},
+    "os": {"fsync", "replace", "rename", "truncate", "ftruncate", "pwrite", "sendfile", "utime"},
     "tempfile": {"mkstemp"},
     "shutil": {"copyfile", "copy", "copy2", "copytree", "move"},
 }
@@ -132,10 +134,15 @@ def test_the_guard_sees_each_way_of_writing():
     source = textwrap.dedent(
         """
         from os import replace
+        from os import utime
         def writes(path, fd, mode):
             os.fsync(fd)
             os.replace(path, path)
             os.truncate(path, 0)
+            os.ftruncate(fd, 0)
+            os.pwrite(fd, b"", 0)
+            os.sendfile(fd, fd, 0, 1)
+            os.utime(fd, ns=(0, 0))
             tempfile.mkstemp()
             shutil.copyfile(path, path)
             open(path, "a")
@@ -153,8 +160,10 @@ def test_the_guard_sees_each_way_of_writing():
                 os.fdopen(fd)
                 os.open(path, os.O_RDONLY | os.O_CREAT)
                 os.stat(path)
+                os.pread(fd, 1, 0)
+                os.fstat(fd)
         """
     )
     found = write_points(source)
-    assert [line for _, line, _ in found] == [2, *range(4, 15)]
+    assert [line for _, line, _ in found] == [2, 3, *range(5, 20)]
     assert {scope for scope, _, _ in found} == {"", "writes"}
