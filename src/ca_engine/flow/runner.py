@@ -45,7 +45,8 @@ creates an input file only for a name it did not keep, and copies an input
 again only when its bytes or its copy changed. A workdir holding anything
 but regular files with the engine's input names is removed with a tree
 walk, and the thread's next task makes a new one. At the end of a run,
-aborted or not, each thread's kept workdir is removed.
+aborted or not, the kept workdirs are removed, then the run root, which
+reserves the run's id (:meth:`RunStore.mint_run_id`) until its record exists.
 """
 
 from __future__ import annotations
@@ -409,7 +410,6 @@ def execute(
 
     # Commands run with cwd=workdir, so rendered paths must be absolute.
     workdir_root = (run_store.repo.tmp_dir / run_id).resolve()
-    workdir_root.mkdir(parents=True, exist_ok=True)
 
     env = {name: os.environ[name] for name in graph.env_whitelist if name in os.environ}
     ctx = _RunContext(executor, store, batch, workdir_root, env)
@@ -440,45 +440,45 @@ def execute(
                 for nxt in dependents[key]:
                     waiting[nxt] -= 1
                 running += submit([nxt for nxt in dependents[key] if waiting[nxt] == 0])
+        batch.commit()
+
+        outcomes = [ctx.outcomes[key] for key in tasks if key in ctx.outcomes]
+        succeeded = len(outcomes) == len(tasks) and all(o.exit_code == 0 for o in outcomes)
+
+        produced = [ctx.outputs.get((o.step, o.slot)) for o in graph.outcomes]
+        result_ids = list(dict.fromkeys(artifact_id for artifact_id in produced if artifact_id is not None))
+        metrics = graph.metrics_output
+        metrics_id = ctx.outputs.get((metrics.step, metrics.slot)) if metrics is not None else None
+
+        record = RunRecord(
+            run_id=run_id,
+            tuple=avt,
+            kind=kind,
+            branch=branch,
+            started_at=started_at,
+            finished_at=utc_now_iso(),
+            status="succeeded" if succeeded else "failed",
+            step_outcomes=outcomes,
+            result_ids=result_ids,
+            labels=dict(labels or {}),
+            data_scope={
+                "kind": data_scope.kind,
+                "manifest": manifest_id.hash if manifest_id is not None else None,
+            },
+        )
+        metrics_error = None
+        try:
+            collect(record, store=store, metrics_artifact=metrics_id)
+        except MalformedMetricsError as exc:
+            metrics_error = exc
+        run_store.record(record)
+        if lineage is not None:
+            lineage.record_edges(record, store=store)
+        if metrics_error is not None:
+            raise metrics_error
+        return record
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         for path, files in ctx.kept.values():
             _remove_dir(path, [path / name for name in files])
         _remove_dir(workdir_root)
-    batch.commit()
-
-    outcomes = [ctx.outcomes[key] for key in tasks if key in ctx.outcomes]
-    succeeded = len(outcomes) == len(tasks) and all(o.exit_code == 0 for o in outcomes)
-
-    produced = [ctx.outputs.get((o.step, o.slot)) for o in graph.outcomes]
-    result_ids = list(dict.fromkeys(artifact_id for artifact_id in produced if artifact_id is not None))
-    metrics = graph.metrics_output
-    metrics_id = ctx.outputs.get((metrics.step, metrics.slot)) if metrics is not None else None
-
-    record = RunRecord(
-        run_id=run_id,
-        tuple=avt,
-        kind=kind,
-        branch=branch,
-        started_at=started_at,
-        finished_at=utc_now_iso(),
-        status="succeeded" if succeeded else "failed",
-        step_outcomes=outcomes,
-        result_ids=result_ids,
-        labels=dict(labels or {}),
-        data_scope={
-            "kind": data_scope.kind,
-            "manifest": manifest_id.hash if manifest_id is not None else None,
-        },
-    )
-    metrics_error = None
-    try:
-        collect(record, store=store, metrics_artifact=metrics_id)
-    except MalformedMetricsError as exc:
-        metrics_error = exc
-    run_store.record(record)
-    if lineage is not None:
-        lineage.record_edges(record, store=store)
-    if metrics_error is not None:
-        raise metrics_error
-    return record

@@ -1,8 +1,8 @@
 """Repository layout and the single-writer advisory lock.
 
 All engine state lives under one directory (conventionally ``.ca/``):
-``objects/`` and ``index.jsonl`` for the artifact store, ``runs/``,
-``runs.jsonl`` and ``counters.json`` for run records,
+``objects/`` and ``index.jsonl`` for the artifact store, ``runs/`` and
+``runs.jsonl`` for run records, ``tmp/`` for the workdirs that reserve run ids,
 ``events.jsonl``/``pins.json``/``promotions.jsonl`` for the pipeline,
 ``lineage.jsonl`` for provenance edges, plus ``config.json`` and
 ``gates.json``. Each journal ``<name>.jsonl`` may have a key file
@@ -70,10 +70,6 @@ class Repository:
         return self.root / "runs.jsonl"
 
     @property
-    def counters_path(self) -> Path:
-        return self.root / "counters.json"
-
-    @property
     def events_path(self) -> Path:
         return self.root / "events.jsonl"
 
@@ -130,8 +126,6 @@ class Repository:
             self.lineage_path,
         ):
             path.touch()
-        if not self.counters_path.exists():
-            atomic_write_json(self.counters_path, {})
         if not self.pins_path.exists():
             atomic_write_json(self.pins_path, {})
         if not self.config_path.exists():

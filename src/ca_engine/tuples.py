@@ -4,11 +4,12 @@ A tuple maps component names to version pins and uniquely characterizes a
 run's inputs. Its canonical encoding lists components in lexicographic
 order, each as ``component\\nversion\\ncontent-or-empty\\n``, which makes the
 tuple hash independent of construction order. Run ids join the first twelve
-hex chars of the tuple hash with a persisted, strictly increasing sequence.
+hex chars of the tuple hash with the first sequence number still free.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .errors import (
 from .journal import Journal
 from .repo import Repository
 from .store import ArtifactId, ArtifactKind, ArtifactStore, is_content_hash, sha256_hex
-from .util import atomic_write_json, atomic_write_text, canonical_json, decode_state, file_stamp, load_state, stamp_path
+from .util import atomic_write_text, canonical_json, decode_state, file_stamp, load_state, make_dir, stamp_path
 
 COMPONENT_RE = re.compile(r"[a-z0-9_-]+")
 BASELINE_COMPONENTS = ("code", "data", "dependencies", "deployment")
@@ -277,12 +278,6 @@ class RunRecord:
         )
 
 
-def _counters(doc: object) -> dict[str, int]:
-    if not isinstance(doc, dict) or not all(isinstance(seq, int) for seq in doc.values()):
-        raise TypeError("expected an object of run counters")
-    return doc
-
-
 _SUMMARY_TYPES = {
     "run_id": str,
     "kind": str,
@@ -355,20 +350,21 @@ class RunStore:
         return self.repo.runs_dir / f"{run_id}.json"
 
     def mint_run_id(self, avt: ArtifactVersionTuple) -> str:
-        """Next run id for the tuple; the counter is persisted before return.
+        """A new run id for the tuple, with the first sequence number from 1 that can be reserved.
 
-        An id that already has a record is skipped, so a lost or reset
-        counter never hands out a recorded run's id again.
+        An id is reserved by making ``tmp/<run-id>/`` and then finding no record
+        of it. The caller removes the directory only after writing the record,
+        so every id in use is held by one or the other, and no lock is needed.
+        Records are never removed, so a recorded id is passed over with no mkdir.
         """
         prefix = tuple_hash(avt)[:12]
-        with self.repo.write_lock():
-            counters = load_state(self.repo.counters_path, _counters, {})
-            seq = counters.get(prefix, 0) + 1
-            while self.exists(f"{prefix}-{seq:06d}"):
-                seq += 1
-            counters[prefix] = seq
-            atomic_write_json(self.repo.counters_path, counters)
-        return f"{prefix}-{seq:06d}"
+        for seq in itertools.count(1):
+            run_id = f"{prefix}-{seq:06d}"
+            record_path = self.run_path(run_id)
+            if not record_path.exists() and make_dir(self.repo.tmp_dir / run_id):
+                if not record_path.exists():
+                    return run_id
+                os.rmdir(self.repo.tmp_dir / run_id)
 
     def _check_references(self, record: RunRecord) -> None:
         for rid in record.result_ids:
@@ -421,9 +417,6 @@ class RunStore:
                 raise DanglingReferenceError(f"feedback bundle {feedback_id} not in store")
             record.feedback_id = feedback_id
             atomic_write_text(self.run_path(run_id), canonical_json(record.to_dict()) + "\n")
-
-    def exists(self, run_id: str) -> bool:
-        return self.run_path(run_id).exists()
 
     def load(self, run_id: str) -> RunRecord:
         record = load_state(self.run_path(run_id), RunRecord.from_dict, None)

@@ -71,6 +71,18 @@ def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None
             raise
 
 
+def make_dir(path: Path) -> bool:
+    """Make the directory ``path``, and its parent as :func:`atomic_write_bytes` does; False when it exists."""
+    with _write_errors(path):
+        if not path.parent.is_dir():
+            path.parent.mkdir(exist_ok=True)
+        try:
+            os.mkdir(path)
+        except FileExistsError:
+            return False
+    return True
+
+
 def overwrite_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` over the file at ``path`` in place, with no temp file, rename or fsync.
 

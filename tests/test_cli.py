@@ -532,15 +532,26 @@ def one_step(ws, capsys):
     return root / ".ca", ["flow", "run", str(manifest), "--json", *repo_args]
 
 
-def test_lost_run_counter_never_hands_out_a_recorded_id(one_step, capsys):
+def test_a_recorded_run_id_is_never_handed_out_again(one_step, capsys):
     repo, flow_run = one_step
     assert main(flow_run) == 0
     first = read_json(capsys)["run_id"]
-    (repo / "counters.json").unlink()
+    assert list((repo / "tmp").iterdir()) == []
     assert main(flow_run) == 0
     second = read_json(capsys)["run_id"]
     assert second == first[:-6] + "000002"
     assert (repo / "runs" / f"{first}.json").exists() and (repo / "runs" / f"{second}.json").exists()
+
+
+def test_a_run_aborted_by_an_executor_error_frees_its_id(one_step, capsys):
+    repo, flow_run = one_step
+    broken = repo.parent / "broken.json"
+    broken.write_text(json.dumps({**ONE_STEP, "steps": [{**ONE_STEP["steps"][0], "command": "true"}]}))
+    assert main(["flow", "run", str(broken), *flow_run[3:]]) == 1
+    assert "missing-output" in capsys.readouterr().err
+    assert list((repo / "tmp").iterdir()) == [] and list((repo / "runs").iterdir()) == []
+    assert main(flow_run) == 0
+    assert read_json(capsys)["run_id"].endswith("-000001")
 
 
 def _drop_tuple(text):
@@ -549,12 +560,7 @@ def _drop_tuple(text):
     return json.dumps(doc)
 
 
-# Counters are a flat object, so their missing-field case is a counter that
-# is not an integer.
 DAMAGED_STATE = [
-    ("counters", "garbled", lambda text: '{"abc": '),
-    ("counters", "missing-field", lambda text: '{"abc": null}'),
-    ("counters", "wrong-type", lambda text: "[]"),
     ("pins", "garbled", lambda text: text[: len(text) // 2]),
     ("pins", "missing-field", lambda text: '{"main": {"branch": "main"}}'),
     ("pins", "wrong-type", lambda text: "[]"),
@@ -578,7 +584,6 @@ def test_damaged_engine_state_exits_3_naming_the_file(target, damage, one_step, 
     run_id = read_json(capsys)["run_id"]
     repo_args = ["--repo", str(repo)]
     path, argv = {
-        "counters": (repo / "counters.json", flow_run),
         "pins": (repo / "pins.json", flow_run),
         "config": (repo / "config.json", ["run", "ls", *repo_args]),
         "run-show": (repo / "runs" / f"{run_id}.json", ["run", "show", run_id, *repo_args]),

@@ -299,6 +299,21 @@ def test_executor_error_leaves_no_workdir(figure2, repo, store, run_store):
     assert list(repo.tmp_dir.iterdir()) == []
 
 
+def test_a_run_root_holds_its_id_until_the_record_is_written(figure2, repo, store, run_store, monkeypatch):
+    graph, _, _ = figure2
+    held = []
+    record = run_store.record
+
+    def checked_record(run):
+        held.append((repo.tmp_dir / run.run_id).is_dir())
+        record(run)
+
+    monkeypatch.setattr(run_store, "record", checked_record)
+    run_figure2(graph, store, run_store)
+    assert held == [True]
+    assert list(repo.tmp_dir.iterdir()) == []
+
+
 def test_execute_rejects_invalid_graph(store, run_store):
     manifest = {
         "steps": [
@@ -721,7 +736,8 @@ def test_a_run_takes_the_write_lock_a_fixed_number_of_times_and_never_while_task
         )
         assert record.status == "succeeded"
         per_run.append(len(entries))
-    assert per_run[0] <= 6 and per_run == [per_run[0]] * 3
+    # commit, bundle put, record and lineage
+    assert per_run == [4] * 3
     assert during_tasks == []
 
 

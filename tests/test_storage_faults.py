@@ -18,9 +18,14 @@ import io
 import json
 import os
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from ca_engine.cli import main
+from ca_engine.errors import StorageError
 from ca_engine.pipeline import Pipeline
+from ca_engine.util import make_dir
 
 FLOW = {
     "steps": [
@@ -274,3 +279,42 @@ def test_an_unfinished_release_that_a_later_one_superseded_is_not_finished(tmp_p
     code, _, err = ca("release", first, "--flow", ws.flow, *ws.repo)
     assert code == 1 and "already-released" in err
     assert main_pins(ws)["last_release_run"] == latest
+
+
+def test_a_full_disk_at_the_run_workdir_exits_3_naming_it(tmp_path, monkeypatch):
+    ws = Workspace(tmp_path / "ws")
+    tmp = ws.root / ".ca" / "tmp"
+    steps = ws.cycle(1)
+    argv = next(steps)
+    while argv[0] != "flow":
+        argv = steps.send(ca(*argv))
+    mkdir = os.mkdir
+
+    def full(path, *args, **kwargs):
+        if Path(path).parent == tmp:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkdir(path, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "mkdir", full)
+        code, _, err = ca(*argv)
+    assert code == 3
+    assert "error[storage-io]" in err and f"{tmp}/" in err
+    assert list(tmp.iterdir()) == [] and list((ws.root / ".ca" / "runs").iterdir()) == []
+    assert run_cycle(ws, 2) is None
+
+
+def test_a_repository_without_tmp_runs_and_makes_it_again(tmp_path):
+    ws = Workspace(tmp_path / "ws")
+    tmp = ws.root / ".ca" / "tmp"
+    tmp.rmdir()
+    assert run_cycle(ws, 1) is None
+    assert list(tmp.iterdir()) == []
+
+
+def test_a_run_workdir_is_never_made_in_a_removed_repository(tmp_path):
+    root = tmp_path / ".ca"
+    with pytest.raises(StorageError) as raised:
+        make_dir(root / "tmp" / "run")
+    assert str(root / "tmp" / "run") in str(raised.value)
+    assert not root.exists()

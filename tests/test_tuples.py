@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import multiprocessing
 import random
 import shutil
 import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ca_engine.errors import DanglingReferenceError, InvalidTupleError, RunConflictError
-from ca_engine.store import ArtifactId, ArtifactKind
+from ca_engine.repo import Repository
+from ca_engine.store import ArtifactId, ArtifactKind, ArtifactStore
 from ca_engine.tuples import (
     ArtifactVersionTuple,
     RunRecord,
@@ -214,6 +219,65 @@ def test_mint_counter_survives_reopen(repo, store, run_store):
     reopened = RunStore(repo, store)
     assert reopened.mint_run_id(avt) != token
     assert reopened.mint_run_id(avt).endswith("-000003")
+
+
+def test_a_minted_id_is_reserved_by_its_workdir(repo, run_store):
+    run_id = run_store.mint_run_id(baseline_tuple())
+    assert [path.name for path in repo.tmp_dir.iterdir()] == [run_id]
+    assert list((repo.tmp_dir / run_id).iterdir()) == []
+
+
+def test_threads_with_their_own_handles_mint_distinct_ids(repo, store):
+    avt = baseline_tuple()
+    handles = [RunStore(repo, store) for _ in range(8)]
+    barrier = threading.Barrier(len(handles))
+
+    def mint(handle):
+        barrier.wait(timeout=30)
+        return [handle.mint_run_id(avt) for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(handles)) as pool:
+            ids = [run_id for minted in pool.map(mint, handles, timeout=60) for run_id in minted]
+    finally:
+        sys.setswitchinterval(interval)
+    prefix = tuple_hash(avt)[:12]
+    assert sorted(ids) == [f"{prefix}-{seq:06d}" for seq in range(1, 81)]
+
+
+def _mint_in_child(root, count, out):
+    repo = Repository(root)
+    run_store = RunStore(repo, ArtifactStore(repo))
+    out.put([run_store.mint_run_id(baseline_tuple()) for _ in range(count)])
+
+
+def test_processes_mint_distinct_ids(repo):
+    context = multiprocessing.get_context("spawn")
+    out = context.Queue()
+    children = [context.Process(target=_mint_in_child, args=(repo.root, 20, out)) for _ in range(3)]
+    for child in children:
+        child.start()
+    ids = [run_id for _ in children for run_id in out.get(timeout=60)]
+    for child in children:
+        child.join(timeout=30)
+        assert not child.is_alive() and child.exitcode == 0
+    assert len(set(ids)) == 60
+
+
+def test_a_leftover_workdir_keeps_its_id_taken(repo, run_store):
+    avt = baseline_tuple()
+    prefix = tuple_hash(avt)[:12]
+    (repo.tmp_dir / f"{prefix}-000001").mkdir()
+    assert run_store.mint_run_id(avt) == f"{prefix}-000002"
+
+
+def test_a_recorded_id_is_not_handed_out_again_once_its_workdir_is_gone(repo, store, run_store):
+    record = make_run(store, run_store)
+    shutil.rmtree(repo.tmp_dir / record.run_id)
+    assert run_store.mint_run_id(record.tuple) == record.run_id[:-6] + "000002"
+    assert sorted(path.name for path in repo.tmp_dir.iterdir()) == [record.run_id[:-6] + "000002"]
 
 
 def test_record_roundtrip_and_idempotency(store, run_store):
