@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -31,6 +32,26 @@ from .store import ArtifactId, ArtifactKind, ArtifactStore
 from .tuples import RunStore, VersionPin
 
 DEFAULT_REPO = ".ca"
+
+
+class _UserPathError(Exception):
+    """A path the user named cannot be read or written: a plain error (exit 1), not a storage fault."""
+
+
+@contextmanager
+def _user_path():
+    """Raise an ``OSError`` inside as :class:`_UserPathError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UserPathError(exc) from exc
+
+
+def _load_manifest(path: str):
+    """Parse the flow manifest at the path the user named."""
+    with _user_path():
+        text = Path(path).read_text(encoding="utf-8")
+    return parse_manifest(text)
 
 
 class _Context:
@@ -93,7 +114,7 @@ class _Context:
         path = manifest_arg or self.flow_manifest
         if not path:
             raise EngineError("no flow manifest given (pass --flow or set flow_manifest in config.json)")
-        graph = parse_manifest(Path(path).read_text(encoding="utf-8"))
+        graph = _load_manifest(path)
         violations = validate(graph)
         if violations:
             raise EngineError("invalid flow: " + "; ".join(str(v) for v in violations))
@@ -161,7 +182,8 @@ def cmd_init(args) -> int:
 
 def cmd_artifact_put(args) -> int:
     ctx = _Context(args)
-    data = sys.stdin.buffer.read() if args.file == "-" else Path(args.file).read_bytes()
+    with _user_path():
+        data = sys.stdin.buffer.read() if args.file == "-" else Path(args.file).read_bytes()
     artifact_id = ctx.store.put(
         ArtifactKind(args.kind), data, args.media_type, _parse_labels(args.label)
     )
@@ -177,7 +199,8 @@ def cmd_artifact_get(args) -> int:
     ctx = _Context(args)
     data = ctx.store.get(ArtifactId.parse(args.id))
     if args.output:
-        Path(args.output).write_bytes(data)
+        with _user_path():
+            Path(args.output).write_bytes(data)
     if getattr(args, "json", False):
         doc = {"id": args.id, "size": len(data), "output": args.output}
         if not args.output:
@@ -215,7 +238,7 @@ def cmd_artifact_ls(args) -> int:
 
 
 def cmd_flow_validate(args) -> int:
-    graph = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
+    graph = _load_manifest(args.manifest)
     violations = validate(graph)
     if violations:
         for violation in violations:
@@ -227,7 +250,7 @@ def cmd_flow_validate(args) -> int:
 
 
 def cmd_flow_graph(args) -> int:
-    graph = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
+    graph = _load_manifest(args.manifest)
     dot = to_dot(graph)
     if getattr(args, "json", False):
         print(json.dumps({"dot": dot}, sort_keys=True))
@@ -632,7 +655,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, _UserPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -145,9 +145,10 @@ class ProcessExecutor(StepExecutor):
         collected: dict[str, bytes] = {}
         if proc.returncode == 0:
             for slot, path in outputs.items():
-                if not path.exists():
-                    raise MissingOutputError(f"declared output {slot!r} not produced at {path}")
-                collected[slot] = path.read_bytes()
+                try:
+                    collected[slot] = path.read_bytes()
+                except (FileNotFoundError, IsADirectoryError) as exc:
+                    raise MissingOutputError(f"declared output {slot!r} not produced at {path}") from exc
         return ExecResult(proc.returncode, collected, log, env_snapshot_bytes(env))
 
 

@@ -68,9 +68,7 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import IntegrityViolationError, InvalidTupleError, StorageError
-from .util import FileStamp, append_line, canonical_json, file_stamp, overwrite_bytes, set_times_back
-
-_TAIL_BLOCK = 1 << 16  # bytes read per step when an append looks back for the last newline
+from .util import FileStamp, append_line, canonical_json, file_stamp, overwrite_bytes, set_times_back, storage_errors
 
 # Journal bytes from which each append by a writer that has read the journal rewrites its key file.
 KEY_FILE_SLACK = 32 * 1024
@@ -318,7 +316,7 @@ class Journal:
         size = self._size()
         if size == self._seen:
             return
-        with open(self.path, "rb") as fh:
+        with storage_errors(self.path, "read"), open(self.path, "rb") as fh:
             fh.seek(self._offset)
             chunk = fh.read()
             stamp = file_stamp(os.fstat(fh.fileno()))
@@ -402,8 +400,9 @@ class Journal:
         reading them back. Any other first reads a file of ``KEY_FILE_SLACK``
         bytes or more, through its key file, so that the append keeps the key
         file current. A smaller file, or one with a damaged line, it does not
-        parse: it finds the end of the file's last complete line by reading
-        back from the end, and its next read parses the new rows with the rest.
+        parse: it reads the bytes past what it parsed once to find the end of
+        the file's last complete line, and its next read parses the new rows
+        with the rest.
         """
         keyed = [(self._key(row), row) for row in rows]
         if keyed:
@@ -457,19 +456,12 @@ class Journal:
                 pass  # the key file is derived: without it readers parse more
 
     def _line_end(self, size: int) -> int:
-        """The offset after the last newline in the first ``size`` bytes, read back from there to the parsed offset."""
-        end = size
-        if end <= self._offset:
+        """The offset after the last newline in the first ``size`` bytes; the parsed offset when none is past it."""
+        if size <= self._offset:
             return self._offset
-        with open(self.path, "rb") as fh:
-            while end > self._offset:
-                start = max(self._offset, end - _TAIL_BLOCK)
-                fh.seek(start)
-                newline = fh.read(end - start).rfind(b"\n")
-                if newline >= 0:
-                    return start + newline + 1
-                end = start
-        return self._offset
+        with storage_errors(self.path, "read"), open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            return self._offset + fh.read(size - self._offset).rfind(b"\n") + 1
 
     def write_keys(self) -> None:
         """Rewrite the key file to cover every complete line; the caller holds the write lock.

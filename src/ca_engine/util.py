@@ -34,12 +34,12 @@ def canonical_json(obj: Any) -> str:
 
 
 @contextmanager
-def _write_errors(path: Path) -> Iterator[None]:
-    """Map an ``OSError`` while writing ``path`` to :class:`StorageError` naming it."""
+def storage_errors(path: Path, doing: str = "write") -> Iterator[None]:
+    """Map an ``OSError`` while ``doing`` (``"read"`` or ``"write"``) ``path`` to :class:`StorageError` naming it."""
     try:
         yield
     except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise StorageError(f"cannot {doing} {path}: {exc.strerror or exc}") from exc
 
 
 def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None:
@@ -50,7 +50,7 @@ def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None
     created only when it is missing, and never its own parent, so a write
     into a removed repository fails rather than recreating part of it.
     """
-    with _write_errors(path):
+    with storage_errors(path):
         try:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         except FileNotFoundError:
@@ -73,7 +73,7 @@ def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None
 
 def make_dir(path: Path) -> bool:
     """Make the directory ``path``, and its parent as :func:`atomic_write_bytes` does; False when it exists."""
-    with _write_errors(path):
+    with storage_errors(path):
         if not path.parent.is_dir():
             path.parent.mkdir(exist_ok=True)
         try:
@@ -91,7 +91,7 @@ def overwrite_bytes(path: Path, data: bytes) -> None:
     A temp file and a rename cost several times the write itself on a file
     system busy with fsyncs.
     """
-    with _write_errors(path):
+    with storage_errors(path):
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             view = memoryview(data)
@@ -148,7 +148,7 @@ def stamp_path(path: Path) -> FileStamp | None:
 
 def fsync_file(path: Path) -> None:
     """Flush a file written with ``durable=False`` to stable storage."""
-    with _write_errors(path):
+    with storage_errors(path):
         fd = os.open(path, os.O_RDONLY)
         try:
             os.fsync(fd)
@@ -174,7 +174,7 @@ def append_line(path: Path, line: str, truncate_to: int | None = None) -> os.sta
     """
     data = memoryview((line + "\n").encode("utf-8"))
     # Unbuffered, so closing the file writes nothing after a failed append is cut back.
-    with _write_errors(path), open(path, "ab", buffering=0) as fh:
+    with storage_errors(path), open(path, "ab", buffering=0) as fh:
         if truncate_to is not None:
             fh.truncate(truncate_to)
         end = fh.seek(0, os.SEEK_END)
@@ -205,11 +205,13 @@ def load_state(path: Path, build: Callable[[Any], T], default: T) -> T:
 
     The engine wrote the file, so one that does not parse, or that ``build``
     rejects, is damaged state: :class:`IntegrityViolationError` naming it.
+    One that cannot be read is :class:`StorageError` naming it.
     """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return default
+    with storage_errors(path, "read"):
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return default
     return decode_state(path, data, build)
 
 

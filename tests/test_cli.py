@@ -595,6 +595,35 @@ def test_damaged_engine_state_exits_3_naming_the_file(target, damage, one_step, 
     assert "integrity-violation" in err and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["flow", "validate", "{dir}"], ["artifact", "put", "{dir}", "--kind", "data"], ["artifact", "get", "{id}", "-o", "{dir}"]],
+    ids=["flow-validate", "artifact-put", "artifact-get"],
+)
+def test_a_directory_where_the_user_names_a_file_exits_1(argv, ws, capsys):
+    root, repo_args = ws
+    blob = root / "blob.bin"
+    blob.write_bytes(b"bytes")
+    assert main(["artifact", "put", str(blob), "--kind", "data", "--json", *repo_args]) == 0
+    artifact_id = read_json(capsys)["id"]
+    directory = root / "a-directory"
+    directory.mkdir()
+    assert main([a.format(dir=directory, id=artifact_id) for a in argv] + repo_args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(directory) in err
+
+
+@pytest.mark.parametrize("name", ["config.json", "pins.json", "index.jsonl", "runs.jsonl"])
+def test_engine_state_replaced_by_a_directory_exits_3_naming_the_file(name, one_step, capsys):
+    repo, flow_run = one_step
+    path = repo / name
+    path.unlink()
+    path.mkdir()
+    assert main(flow_run) == 3
+    err = capsys.readouterr().err
+    assert "storage-io" in err and str(path) in err
+
+
 def _drop_field(path, row_type, field):
     """Remove ``field`` from the journal rows whose ``type`` (or, with None, any row) matches."""
     rows = [json.loads(line) for line in path.read_text().splitlines()]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import time
 
@@ -78,12 +79,13 @@ def test_process_executor_nonzero_exit_keeps_log_and_raises_nothing(tmp_path):
     assert result.outputs == {}
 
 
-def test_process_executor_missing_output_on_success(tmp_path):
+@pytest.mark.parametrize("command", ["true", "mkdir out"], ids=["absent", "directory"])
+def test_process_executor_missing_output_on_success(command, tmp_path):
     workdir = tmp_path / "m"
     workdir.mkdir()
     executor = ProcessExecutor()
     with pytest.raises(MissingOutputError):
-        executor.run("true", inputs={}, outputs={"out": workdir / "out"}, env={}, workdir=workdir)
+        executor.run(command, inputs={}, outputs={"out": workdir / "out"}, env={}, workdir=workdir)
 
 
 def test_process_executor_spawn_failure(tmp_path):
@@ -92,14 +94,42 @@ def test_process_executor_spawn_failure(tmp_path):
         executor.run("true", inputs={}, outputs={}, env={}, workdir=tmp_path / "does-not-exist")
 
 
-def test_process_executor_timeout_kills_the_whole_process_tree(tmp_path):
+def test_a_log_that_cannot_be_made_is_a_spawn_failure(tmp_path, monkeypatch):
+    def no_descriptor_left(*args, **kwargs):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", no_descriptor_left)
+    with pytest.raises(SpawnFailureError, match="Too many open files"):
+        ProcessExecutor().run("true", inputs={}, outputs={}, env={}, workdir=tmp_path)
+
+
+def test_a_log_larger_than_a_pipe_buffer_is_captured_whole(tmp_path):
+    result = ProcessExecutor().run(
+        "yes abcdefghi | head -c 300000", inputs={}, outputs={}, env={}, workdir=tmp_path
+    )
+    assert result.exit_code == 0
+    assert result.log == b"abcdefghi\n" * 30000
+
+
+def test_output_written_through_dev_stderr_keeps_its_place_in_the_log(tmp_path):
+    # Reopening the log through /dev/stderr must not truncate what was written before.
+    result = ProcessExecutor().run(
+        "echo a; echo warn > /dev/stderr; echo b", inputs={}, outputs={}, env={}, workdir=tmp_path
+    )
+    assert result.log == b"a\nwarn\nb\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["(sleep 1; touch late); true", "(sleep 1; touch late) & while :; do echo tick; sleep 0.01; done"],
+    ids=["quiet", "writing"],
+)
+def test_process_executor_timeout_kills_the_whole_process_tree(command, tmp_path):
     workdir = tmp_path / "slow"
     workdir.mkdir()
     started = time.monotonic()
     with pytest.raises(ExecutorFailureError, match="timed out"):
-        ProcessExecutor(timeout=0.3).run(
-            "(sleep 1; touch late); true", inputs={}, outputs={}, env={}, workdir=workdir
-        )
+        ProcessExecutor(timeout=0.3).run(command, inputs={}, outputs={}, env={}, workdir=workdir)
     assert time.monotonic() - started < 1
     time.sleep(1.5)
     assert not (workdir / "late").exists()
