@@ -96,12 +96,13 @@ class ProcessExecutor(StepExecutor):
     """Runs commands as OS subprocesses in an isolated working directory.
 
     Each step leads a session of its own. Once its process exits, or its
-    timeout passes, every process left in its group is killed, so a step
-    leaves no process behind to write into a workdir or input file that a
-    later task reuses. The log is what the step's processes wrote to its
-    output until its process exited: a background process that keeps the
-    output open does not hold up the step, and what it writes later is not
-    captured. The exit is awaited through a pidfd (Linux 5.3 or later).
+    timeout passes, every process left in its group is killed, so none can
+    write into a workdir or input file a later task reuses. One that starts
+    its own session (``setsid``) outlives the step: only a cgroup could hold
+    it. The log is what the step's processes wrote to its output until its
+    process exited: a background process that keeps the output open does
+    not hold up the step, and what it writes later is not captured. The
+    exit is awaited through a pidfd (Linux 5.3 or later).
     """
 
     def __init__(self, timeout: float | None = None):

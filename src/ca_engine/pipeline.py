@@ -371,11 +371,12 @@ class Pipeline:
     # -- gatekeeping ------------------------------------------------------------
 
     def gate_report(self, run_id: str):
-        record = self.run_store.load(run_id)
+        return self._gate_report_of(self.run_store.load(run_id))
+
+    def _gate_report_of(self, record: RunRecord):
+        """The gate policy evaluated on the record's feedback metrics; a run with no feedback has none."""
         policy = load_gate_policy(self.repo.gates_path)
-        metrics: dict[str, float] = {}
-        if record.feedback_id is not None:
-            metrics = bundle_metrics(record, store=self.store)
+        metrics = bundle_metrics(record, store=self.store) if record.feedback_id is not None else {}
         return evaluate_gate(metrics, policy)
 
     def _check_approvable(self, run_id: str) -> RunRecord:
@@ -386,7 +387,7 @@ class Pipeline:
             raise RunNotSucceededError(f"run {run_id} is a {record.kind} run, not an approvable validation run")
         if record.status != "succeeded":
             raise RunNotSucceededError(f"run {run_id} has status {record.status}")
-        report = self.gate_report(run_id)
+        report = self._gate_report_of(record)
         if not report.passed:
             failing = [r.metric for r in report.results if not r.satisfied]
             raise GateFailedError(f"run {run_id} fails gate constraint(s): {', '.join(failing)}")

@@ -18,6 +18,7 @@ see :mod:`ca_engine.journal` for when it is trusted and who rewrites it.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import re
 import stat
@@ -35,7 +36,7 @@ from .util import append_line  # noqa: F401  (bench/tests/test_bench.py reads th
 from .util import FileStamp, atomic_write_bytes, file_stamp, fsync_file, set_times_back, utc_now_iso
 
 HEX64_RE = re.compile(r"[0-9a-f]{64}")
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # objects larger than this are read through a mapping
 
 # What ArtifactStore.copy_to knows a copy by: the digest of its bytes, then the
 # copy's stat stamp, mode, owner, group and link count.
@@ -137,6 +138,11 @@ class ArtifactStore:
     Reads are lock-free; writes serialize through the repository write lock.
     ``index.jsonl`` is a :class:`Journal` keyed by (kind value, hash) and
     grouped by hash; nothing is read until the first query.
+
+    Every read that hashes an object goes through :meth:`_object_bytes`,
+    which maps one larger than ``_CHUNK`` bytes read-only. A process that
+    cuts a mapped file short in place kills the reader with SIGBUS; the
+    engine never does, as it replaces object files by rename.
     """
 
     def __init__(self, repo: Repository):
@@ -172,10 +178,7 @@ class ArtifactStore:
     def get(self, artifact_id: ArtifactId) -> bytes:
         """Return the blob; raises on unknown ids and on digest mismatch."""
         self._lookup(artifact_id)
-        data = self._read_object(artifact_id.hash)
-        if sha256_hex(data) != artifact_id.hash:
-            raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
-        return data
+        return self.get_by_hash(artifact_id.hash)
 
     def copy_to(self, artifact_id: ArtifactId, dest: Path, stamp: CopyStamp | None = None) -> CopyStamp | None:
         """Make ``dest`` hold the stored bytes, copied inside the kernel, and return its stamp.
@@ -248,29 +251,23 @@ class ArtifactStore:
         except OSError as exc:
             raise StorageError(f"I/O error on object {digest}: {exc}") from exc
 
-    def _read_object(self, digest: str) -> bytes:
-        with self._object_errors(digest):
-            return self.object_path(digest).read_bytes()
+    @contextmanager
+    def _object_bytes(self, digest: str):
+        """Yield an object file's bytes: read whole up to ``_CHUNK`` bytes, else mapped read-only.
 
-    def _object_digest(self, digest: str, kept: list[bytes] | None = None, lead: bytes | None = None) -> str:
-        """SHA-256 of an object file, read in fixed-size chunks.
-
-        Chunks are appended to ``kept`` when one is given. With ``lead``, they
-        are kept only while no byte but whitespace has been read or the first
-        other byte is ``lead``, so bytes that cannot match are not held.
+        A mapping hands the bytes to the hash without a copy out of the page
+        cache; below ``_CHUNK`` one read costs less than setting one up.
         """
-        hasher = hashlib.sha256()
         with self._object_errors(digest), open(self.object_path(digest), "rb") as fh:
-            while chunk := fh.read(_CHUNK):
-                hasher.update(chunk)
-                if kept is not None:
-                    kept.append(chunk)
-                    if lead is not None and chunk.strip():
-                        if chunk.lstrip()[:1] != lead:
-                            kept.clear()
-                            kept = None
-                        lead = None
-        return hasher.hexdigest()
+            if os.fstat(fh.fileno()).st_size <= _CHUNK:
+                yield fh.read()
+            else:
+                with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                    yield data
+
+    def _object_digest(self, digest: str) -> str:
+        with self._object_bytes(digest) as data:
+            return sha256_hex(data)
 
     def verify(self, artifact_id: ArtifactId) -> bool:
         """True iff the stored bytes still hash to the id. Never mutates state."""
@@ -319,19 +316,19 @@ class ArtifactStore:
         return self._index.holds(digest)
 
     def get_by_hash(self, digest: str, lead: bytes | None = None) -> bytes | None:
-        """The blob with this hash, verified in one streamed pass.
+        """The blob with this hash, verified as it is read through :meth:`_object_bytes`.
 
         With ``lead``, a blob whose first byte other than whitespace is not
-        ``lead`` is verified but not kept, and None is returned.
+        ``lead`` is verified but not copied out, and None is returned.
         """
         if not self.has_hash(digest):
             raise NotFoundError(f"no artifact with hash {digest}")
-        kept: list[bytes] = []
-        if self._object_digest(digest, kept, lead) != digest:
-            raise IntegrityViolationError(f"stored bytes of {digest} no longer match digest")
-        if lead is not None and not kept:
-            return None
-        return b"".join(kept)
+        with self._object_bytes(digest) as data:
+            if sha256_hex(data) != digest:
+                raise IntegrityViolationError(f"stored bytes of {digest} no longer match digest")
+            if lead is not None and (first := re.search(rb"\S", data)) is not None and first.group() != lead:
+                return None
+            return bytes(data)
 
 
 class WriteBatch:

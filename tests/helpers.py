@@ -264,6 +264,27 @@ def subset_select_reference(dataset_manifest, fraction, seed):
     return [item for _, item in sorted(kept)]
 
 
+def object_digest_reference(path, lead=None):
+    """``ArtifactStore.get_by_hash`` as first written: a loop over 1 MiB chunks.
+
+    Returns the file's SHA-256 and what that read returned. Chunks were kept
+    while no byte but whitespace had been read or the first other byte was
+    ``lead``; with ``lead``, nothing kept was None, an empty file included.
+    """
+    hasher = hashlib.sha256()
+    kept, want = [], lead
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            hasher.update(chunk)
+            if kept is not None:
+                kept.append(chunk)
+                if want is not None and chunk.strip():
+                    if chunk.lstrip()[:1] != want:
+                        kept = None
+                    want = None
+    return hasher.hexdigest(), None if lead is not None and not kept else b"".join(kept)
+
+
 def catch_up_append(journal, rows) -> None:
     """``Journal.append`` as first written: parse the whole file, then append and index the rows."""
     keyed = [(journal._key(row), row) for row in rows]

@@ -239,14 +239,18 @@ def test_validation_and_release_tuples_align(pipeline, store, e2e, repo):
     assert release.data_scope["kind"] == "full"
 
 
-def test_gate_report_and_approve_flow(pipeline, store, e2e, repo):
+def test_gate_report_and_approve_flow(pipeline, store, e2e, repo, run_store, monkeypatch):
     graph, _, _ = e2e
     write_gates(repo, [{"metric": "accuracy", "op": ">=", "threshold": 0.9}])
     record, _ = run_validation(pipeline, store, graph, metrics={"accuracy": 0.91})
     report = pipeline.gate_report(record.run_id)
     assert report.passed
+    loads = []
+    load = run_store.load
+    monkeypatch.setattr(run_store, "load", lambda run_id: loads.append(run_id) or load(run_id))
     request = pipeline.approve(record.run_id, "alice")
     assert request.decision == "approved"
+    assert loads == [record.run_id]  # the gate is evaluated on the record the check loaded
     with pytest.raises(AlreadyDecidedError):
         pipeline.approve(record.run_id, "bob")
 

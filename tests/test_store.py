@@ -11,6 +11,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ca_engine.store as store_mod
 from ca_engine.errors import IntegrityViolationError, LockHeldError, NotFoundError, RepoNotInitializedError, StorageError
@@ -18,7 +20,7 @@ from ca_engine.lineage import LineageEdge, LineageLog
 from ca_engine.repo import Repository
 from ca_engine.store import ArtifactId, ArtifactKind, ArtifactStore, WriteBatch, sha256_hex
 from ca_engine.util import atomic_write_bytes
-from helpers import journal_rows, object_count, tear
+from helpers import journal_rows, object_count, object_digest_reference, tear
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -383,3 +385,55 @@ def test_get_by_hash_keeps_only_blobs_with_the_lead_byte(store, blob, kept):
     corrupt_object(store, artifact_id, offset=len(blob) - 1)
     with pytest.raises(IntegrityViolationError):
         store.get_by_hash(artifact_id.hash, lead=b"[")
+
+
+@pytest.mark.parametrize("size", [0, store_mod._CHUNK, store_mod._CHUNK + 1, 3 << 20])
+def test_objects_read_whole_or_mapped_verify_and_detect_flips(store, monkeypatch, size):
+    blob = random.Random(size).randbytes(size)
+    artifact_id = store.put(ArtifactKind.DATA, blob)
+    maps = []
+    mapping = store_mod.mmap.mmap
+    monkeypatch.setattr(store_mod.mmap, "mmap", lambda *args, **kwargs: maps.append(args) or mapping(*args, **kwargs))
+    assert store.verify(artifact_id) is True
+    assert store.get(artifact_id) == blob
+    assert store.get_by_hash(artifact_id.hash) == blob
+    assert len(maps) == (3 if size > store_mod._CHUNK else 0)
+    path = store.object_path(artifact_id.hash)
+    reads = (store.get, lambda aid: store.get_by_hash(aid.hash, lead=b"["), lambda aid: WriteBatch(store).check(aid))
+    for offset in sorted({0, size // 2, size - 1}) if size else ():
+        raw = bytearray(blob)
+        raw[offset] ^= 0x01
+        path.write_bytes(raw)
+        assert store.verify(artifact_id) is False
+        for read in reads:
+            with pytest.raises(IntegrityViolationError):
+                read(artifact_id)
+    path.unlink()
+    assert store.verify(artifact_id) is False
+    for read in reads:
+        with pytest.raises(IntegrityViolationError, match="missing"):
+            read(artifact_id)
+
+
+WHITESPACE = st.lists(st.sampled_from(b" \t\n\r\x0b\x0c"), min_size=1, max_size=6).map(bytes)
+# Leading whitespace that ends within 64 bytes of the 1 MiB chunk boundary, on either side.
+WIDE_BLANKS = st.tuples(WHITESPACE, st.integers(store_mod._CHUNK - 64, store_mod._CHUNK + 64)).map(
+    lambda pair: (pair[0] * (pair[1] // len(pair[0]) + 1))[: pair[1]]
+)
+JSON_ARRAYS = st.lists(st.text(max_size=8), max_size=4).map(lambda items: json.dumps(items).encode())
+OTHER_BYTES = st.binary(min_size=1, max_size=16)
+LEAD_BLOBS = st.one_of(
+    st.tuples(WIDE_BLANKS, JSON_ARRAYS | OTHER_BYTES | st.just(b"")).map(b"".join),
+    st.tuples(st.just(b"") | WHITESPACE, JSON_ARRAYS).map(b"".join),
+    OTHER_BYTES,
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=LEAD_BLOBS, lead=st.sampled_from([b"[", None]))
+def test_get_by_hash_returns_what_the_chunk_loop_kept(store, blob, lead):
+    """The empty blob is left out: with ``lead``, the chunk loop returned None and the reader returns b""."""
+    artifact_id = store.put(ArtifactKind.DATA, blob)
+    digest, kept = object_digest_reference(store.object_path(artifact_id.hash), lead)
+    assert digest == artifact_id.hash
+    assert store.get_by_hash(artifact_id.hash, lead) == kept
