@@ -30,23 +30,23 @@ input copies as ``in.<file>`` and its declared outputs as ``out.<slot>``.
 Each pool thread keeps one workdir for the whole run, as Bazel's
 ``--reuse_sandbox_directories`` does. Teardown unlinks the outputs and keeps
 the input copies. The thread's next task renames the directory to its own
-name, renames a kept copy it has no use for to an input name it lacks or else
-unlinks it. :meth:`ArtifactStore.copy_to` leaves untouched a kept copy of
-the same bytes whose stat still equals the stamp it returned for that copy,
-and rewrites any other kept copy in place. Each copy's modification time is
-set by the engine, about one second before the copy, to a time no write can
-give it; a write, truncate, store through a shared mapping, ``chmod``,
-``link`` or replacement of the file changes its modification time, change
-time, mode, link count or inode, so the stamp no longer matches. A step that
-writes and then restores the modification time still moves the change time,
-except on a kernel that records it at a clock tick, where a change within
-the tick of the copy can keep it. So a thread makes one directory per run,
-creates an input file only for a name it did not keep, and copies an input
-again only when its bytes or its copy changed. A workdir holding anything
-but regular files with the engine's input names is removed with a tree
-walk, and the thread's next task makes a new one. At the end of a run,
-aborted or not, the kept workdirs are removed, then the run root, which
-reserves the run's id (:meth:`RunStore.mint_run_id`) until its record exists.
+name and unlinks each kept copy it has no use for.
+:meth:`ArtifactStore.copy_to` leaves untouched a kept copy of the same bytes
+whose stat still equals the stamp it returned for that copy, and replaces
+any other with a new file. Each copy's modification time is set by the
+engine, about one second before the copy, to a time no write can give it; a
+write, truncate, store through a shared mapping, ``chmod``, ``link`` or
+replacement of the file changes its modification time, change time, mode,
+link count or inode, so the stamp no longer matches. A step that writes and
+then restores the modification time still moves the change time, except on
+a kernel that records it at a clock tick, where a change within the tick of
+the copy can keep it. So a thread makes one directory per run, and creates
+and copies an input file only when it kept no unchanged copy of the same
+bytes under that name. A workdir holding anything but regular files with
+the engine's input names is removed with a tree walk, and the thread's next
+task makes a new one. At the end of a run, aborted or not, the kept
+workdirs are removed, then the run root, which reserves the run's id
+(:meth:`RunStore.mint_run_id`) until its record exists.
 """
 
 from __future__ import annotations
@@ -243,9 +243,7 @@ def _remove_dir(path: Path, files: Iterable[Path] = ()) -> None:
 def _take_workdir(ctx: _RunContext, workdir: Path, names: Collection[str]) -> dict[str, CopyStamp | None]:
     """Make ``workdir`` from this thread's kept workdir, or a new one, with no file but kept copies among ``names``.
 
-    A kept file the task has no use for is renamed to a name it needs and
-    lacks, or else unlinked. Returns the kept copies' stamps by the names
-    they were kept under, so a renamed copy has none.
+    A kept file the task has no use for is unlinked. Returns the kept copies' stamps by name.
     """
     kept = ctx.kept.pop(threading.get_ident(), None)
     if kept is None:
@@ -253,12 +251,8 @@ def _take_workdir(ctx: _RunContext, workdir: Path, names: Collection[str]) -> di
         return {}
     path, files = kept
     os.rename(path, workdir)
-    lacking = [name for name in names if name not in files]
     for name in files.keys() - names:
-        if lacking:
-            os.rename(workdir / name, workdir / lacking.pop())
-        else:
-            os.unlink(workdir / name)
+        os.unlink(workdir / name)
     return files
 
 

@@ -17,44 +17,43 @@ Git's pack ``.idx``. For a prefix of the journal it holds fixed-width
 records sorted by digest and line: for each row and each of its lookup
 values (the values ``group`` returns, or the row's key when the journal has
 no ``group``), a digest of the value, the row's line number and its byte
-offset. It also holds the prefix's length, line count and SHA-256, the
-journal's stat stamp (:func:`util.set_times_back`) when the key file was
-written, and a SHA-256 of its own bytes. A reader trusts it only when its
-own digest holds, the prefix ends with a newline, and either the journal's
-stat, taken after reading it, still equals the stamp or the prefix hashes
-to its digest: a journal unchanged since its writer stamped it is not
-hashed. A point lookup then bisects the records of the key's first value
-and a group lookup those of its value, decodes only the candidate lines, in
-line order and keeping the first row per key, and parses only the lines
-after the prefix. Otherwise the whole journal is parsed, so damage anywhere
-in it is reported as without a key file. :meth:`Journal.rows` always parses
-every line.
+offset. It also holds the prefix's length and line count, the journal's
+stat stamp (:func:`util.set_times_back`) when the key file was written, and
+a SHA-256 of its own bytes. A reader trusts it only when its own digest
+holds, the prefix ends with a newline, and the journal's stat, taken after
+reading it, still equals the stamp. A point lookup then bisects the records
+of the key's first value and a group lookup those of its value, decodes
+only the candidate lines, in line order and keeping the first row per key,
+and parses only the lines after the prefix. Otherwise the whole journal is
+parsed, so damage anywhere in it is reported as without a key file.
+:meth:`Journal.rows` always parses every line.
 
-The stamp is trusted as Git trusts its index's stat data. A writer stamps
-the journal just before it writes the key file, setting the journal's
-modification time back about a second, so that any later write to the
-journal, or a later restore of that time, moves the modification or change
-time. It records the stamp only while the file holds what the handle read
-or wrote: a handle that saw the journal change other than by its own
-appends first reads the prefix again and checks it against the digest. A
-handle that trusted a stamp has no SHA-256 state to carry on, so it hashes
-the prefix it read once, on its first rewrite. The limit is the change
-time's clock: on a kernel that records it at a clock tick, a write and a
-restored modification time within the tick of the stamp go unseen.
+The stamp is trusted as Git trusts its index's stat data, with no check of
+the content behind it. A writer stamps the journal just before it writes
+the key file, setting the journal's modification time back about a second,
+so that any later write to the journal, or a later restore of that time,
+moves the modification or change time. The limit is the change time's
+clock: on a kernel that records it at a clock tick, a write and a restored
+modification time within the tick of the stamp go unseen. The one cost of
+a stamp that does not match is speed: the reader parses the whole journal
+until the next writer rewrites the key file. On a file system that does not
+keep the modification time to the nanosecond no stamp is taken, no key file
+is written, and every read parses the whole journal.
 
 Readers never write a key file. Once a journal holds ``KEY_FILE_SLACK``
-bytes, each append by a writer that has read the whole journal extends the
-newest key file it read or wrote to cover the journal again, under the
-write lock it holds: it reads, hashes (continuing the kept SHA-256 state)
-and decodes only the bytes past that key file's prefix, and merges their
-records into its sorted ones. A prefix changed since then makes readers
-reject the new key file, which costs only speed. The file is written in
-place and never fsynced, and errors writing it are ignored: it is derived
-and its own digest fails when a write was cut short, so losing or damaging
-it costs only speed. A writer that has not read a journal of
-``KEY_FILE_SLACK`` bytes or more reads it first, through its key file, so
-that every writer keeps the key file current; one that cannot, because a
-line is damaged, appends without and never rewrites the key file.
+bytes, each append by a writer that has read the whole journal rewrites the
+key file to cover the journal again, under the write lock it holds. While
+the journal's stat still equals the one the handle took when it last read
+or wrote it, the writer extends the newest key file it read or wrote: it
+reads and decodes only the bytes past that key file's prefix and merges
+their records into its sorted ones. A journal changed since in any other
+way is indexed afresh from its first line. The file is written in place and
+never fsynced, and errors writing it are ignored: it is derived and its own
+digest fails when a write was cut short, so losing or damaging it costs
+only speed. A writer that has not read a journal of ``KEY_FILE_SLACK``
+bytes or more reads it first, through its key file, so that every writer
+keeps the key file current; one that cannot, because a line is damaged,
+appends without and never rewrites the key file.
 """
 
 from __future__ import annotations
@@ -74,11 +73,10 @@ from .util import FileStamp, append_line, canonical_json, file_stamp, overwrite_
 KEY_FILE_SLACK = 32 * 1024
 
 # <name>.idx: header, records sorted by (digest, line), then the SHA-256 of both.
-# The header holds the magic, covered bytes, covered lines, the SHA-256 of the
-# covered bytes, and the journal's stamp: device, inode, size, modification and change times.
-_KEYS_HEADER = struct.Struct(">8sQQ32sQQQqq")
-_KEYS_MAGIC = b"caidx\x00\x00\x05"  # the last byte is the format version
-_NO_STAMP = (0, 0, 0, 0, 0)
+# The header holds the magic, covered bytes, covered lines, and the journal's
+# stamp: device, inode, size, modification and change times.
+_KEYS_HEADER = struct.Struct(">8sQQQQQqq")
+_KEYS_MAGIC = b"caidx\x00\x00\x06"  # the last byte is the format version
 _DIGEST = 16  # bytes of a record's BLAKE2b digest
 _KEYS_RECORD = struct.Struct(f">{_DIGEST}sIQ")  # digest of a lookup value, line number, offset of the line
 _ROW_ERRORS = (KeyError, TypeError, AttributeError, ValueError, InvalidTupleError)
@@ -102,47 +100,36 @@ def _bisect(records: bytes, probe: bytes) -> int:
 
 
 class _KeyFile:
-    """A key file's sorted records and the journal prefix they cover: its bytes, lines, SHA-256 and its state."""
+    """A key file's sorted records and the journal prefix they cover: its bytes and lines."""
 
-    def __init__(self, records: bytes, size: int, lines: int, digest: bytes, sha: "hashlib._Hash | None"):
+    def __init__(self, records: bytes = b"", size: int = 0, lines: int = 0):
         self.records = records
         self.size = size
         self.lines = lines
-        self.digest = digest  # the SHA-256 of the covered bytes
-        self.sha = sha  # fed exactly the covered bytes, so a rewrite extends a copy of it; None when not hashed
-
-    @classmethod
-    def empty(cls) -> "_KeyFile":
-        sha = hashlib.sha256()
-        return cls(b"", 0, 0, sha.digest(), sha)
 
     @classmethod
     def load(cls, path: Path, data: bytes, stamp: FileStamp) -> "_KeyFile | None":
-        """The key file at ``path`` if it is intact and covers a prefix of ``data`` ending in a newline.
+        """The key file at ``path`` if it is intact, stamped ``stamp`` and covers a prefix of ``data`` ending in a newline.
 
-        ``stamp`` is the journal's, taken after ``data`` was read from it.
-        The prefix is hashed only when it differs from the key file's.
+        ``stamp`` is the journal's, taken after ``data`` was read from it. A
+        key file stamped otherwise is not hashed.
         """
         try:
             raw = path.read_bytes()
         except OSError:
             return None
-        body = memoryview(raw)[:-32]
+        if len(raw) < _KEYS_HEADER.size + 32 or (len(raw) - 32 - _KEYS_HEADER.size) % _KEYS_RECORD.size:
+            return None
+        magic, size, lines, *stamped = _KEYS_HEADER.unpack_from(raw)
         if (
-            len(raw) < _KEYS_HEADER.size + 32
-            or (len(body) - _KEYS_HEADER.size) % _KEYS_RECORD.size
-            or hashlib.sha256(body).digest() != raw[-32:]
+            magic != _KEYS_MAGIC
+            or tuple(stamped) != stamp
+            or hashlib.sha256(memoryview(raw)[:-32]).digest() != raw[-32:]
+            or not 0 < size <= len(data)
+            or data[size - 1] != ord("\n")
         ):
             return None
-        magic, size, lines, digest, *stamped = _KEYS_HEADER.unpack_from(raw)
-        if magic != _KEYS_MAGIC or not 0 < size <= len(data) or data[size - 1] != ord("\n"):
-            return None
-        sha = None
-        if tuple(stamped) != stamp:
-            sha = hashlib.sha256(memoryview(data)[:size])
-            if sha.digest() != digest:
-                return None
-        return cls(raw[_KEYS_HEADER.size : -32], size, lines, digest, sha)
+        return cls(raw[_KEYS_HEADER.size : -32], size, lines)
 
     def offsets(self, digest: bytes) -> list[tuple[int, int]]:
         """(line number, byte offset) of each row recorded under ``digest``, in line order, found by bisection."""
@@ -155,12 +142,7 @@ class _KeyFile:
         return found
 
     def extended(self, data: bytes, records: list[bytes]) -> "_KeyFile":
-        """A key file covering also ``data``, the complete lines after the prefix, whose records are ``records``.
-
-        Its SHA-256 state must be known.
-        """
-        sha = self.sha.copy()
-        sha.update(data)
+        """A key file covering also ``data``, the complete lines after the prefix, whose records are ``records``."""
         parts: list[bytes | memoryview] = []
         view, at = memoryview(self.records), 0
         for record in sorted(records):  # each goes after every old record of its digest: its line is later
@@ -168,10 +150,10 @@ class _KeyFile:
             parts += (view[at:cut], record)
             at = cut
         parts.append(view[at:])
-        return _KeyFile(b"".join(parts), self.size + len(data), self.lines + data.count(b"\n"), sha.digest(), sha)
+        return _KeyFile(b"".join(parts), self.size + len(data), self.lines + data.count(b"\n"))
 
     def encode(self, stamp: FileStamp) -> bytes:
-        body = _KEYS_HEADER.pack(_KEYS_MAGIC, self.size, self.lines, self.digest, *stamp) + self.records
+        body = _KEYS_HEADER.pack(_KEYS_MAGIC, self.size, self.lines, *stamp) + self.records
         return body + hashlib.sha256(body).digest()
 
 
@@ -214,7 +196,7 @@ class Journal:
         self._found: dict[Hashable, list[tuple[Hashable, dict]]] = {}  # covered rows by recorded value
         self._newest: _KeyFile | None = None  # the newest key file this journal read or wrote
         # The file's stamp when this handle last knew it to hold what it read or wrote; None once it
-        # saw the file change otherwise, so its next key file rewrite hashes the prefix again.
+        # saw the file change otherwise, so its next key file rewrite indexes the whole file.
         self._stat: FileStamp | None = None
         self._now: FileStamp | None = None  # the stamp of the latest stat
 
@@ -321,8 +303,7 @@ class Journal:
             chunk = fh.read()
             stamp = file_stamp(os.fstat(fh.fileno()))
         start = 0
-        # Bytes another writer appended, or a change during the read, may come with a changed prefix,
-        # which only a hash would show.
+        # Bytes another writer appended, or a change during the read, may come with a changed prefix.
         self._stat = stamp if self._offset == 0 and stamp == self._now else None
         if self._offset == 0 and self._use_keys:
             self._keys = self._newest = _KeyFile.load(self.keys_path, chunk, stamp)
@@ -475,33 +456,20 @@ class Journal:
     def _write_keys(self) -> None:
         """:meth:`write_keys` with the journal's lock held.
 
-        It stamps the journal, then extends the newest key file this journal
-        read or wrote, so only the bytes after that one's prefix are read,
-        hashed and decoded. When the handle trusted that key file's stamp, it
-        hashes the prefix it read, once. When it saw the journal change other
-        than by its own appends, it reads the prefix again and hashes it: if
-        that no longer hashes to the key file's digest, the whole journal is
-        indexed afresh.
+        It stamps the journal. While the journal still holds what this
+        handle last read or wrote, it extends the newest key file the handle
+        read or wrote, so only the bytes after that one's prefix are read and
+        decoded; otherwise it indexes the whole journal afresh. A journal
+        that cannot be stamped gets no key file.
         """
-        newest = self._newest or _KeyFile.empty()
         with open(self.path, "rb") as fh:
-            if self._stat != file_stamp(os.fstat(fh.fileno())):
-                self._stat = None  # changed since this handle last read or wrote it
+            newest = (self._newest if self._stat == file_stamp(os.fstat(fh.fileno())) else None) or _KeyFile()
             st = set_times_back(fh.fileno())
-            prefix = None
-            if self._stat is None:  # the file may have changed under this handle: check the prefix it knows
-                prefix = fh.read(newest.size)
-            elif newest.sha is None:  # trusted by its stamp, and the file is unchanged since it was read
-                prefix = memoryview(self._data)[: newest.size]
+            self._stat = file_stamp(st) if st is not None else None
+            if st is None:
+                return
             fh.seek(newest.size)
             tail = fh.read()
-        if prefix is not None:
-            sha = hashlib.sha256(prefix)
-            if len(prefix) == newest.size and sha.digest() == newest.digest:
-                newest = _KeyFile(newest.records, newest.size, newest.lines, newest.digest, sha)
-            else:
-                newest = _KeyFile.empty()
-                tail = self.path.read_bytes()
         tail = tail[: tail.rfind(b"\n") + 1]
         records: list[bytes] = []
         line, offset = newest.lines, newest.size
@@ -512,6 +480,5 @@ class Journal:
                 records += [_KEYS_RECORD.pack(_digest(value), line, offset) for value in self._values(key)]
             offset += len(raw) + 1
         keys = newest.extended(tail, records)
-        self._stat = file_stamp(st) if st is not None else None
-        overwrite_bytes(self.keys_path, keys.encode(self._stat or _NO_STAMP))
+        overwrite_bytes(self.keys_path, keys.encode(self._stat))
         self._newest = keys

@@ -21,7 +21,6 @@ import hashlib
 import mmap
 import os
 import re
-import stat
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -149,7 +148,6 @@ class ArtifactStore:
         repo.require()
         self._repo = repo
         self._index = Journal(repo.index_path, _index_key, group=lambda key: (key[1],))
-        self._copy_stat: tuple[int, int, int] | None = None  # mode, owner and group of the last new copy
 
     # -- internals ---------------------------------------------------------
 
@@ -186,46 +184,24 @@ class ArtifactStore:
         After a copy, ``dest`` is stamped with :func:`util.set_times_back`.
         Its stamp is then the digest with ``dest``'s stat stamp, mode, owner,
         group and link count; None when it could not be stamped. A ``dest``
-        whose stat still equals ``stamp`` holds these bytes and is left
+        whose ``lstat`` still equals ``stamp`` holds these bytes and is left
         untouched, with the limit that function states for a change made
-        within a clock tick of the stamp.
-
-        Any other ``dest`` that is a regular file with one link, and with the
-        mode, owner and group of this store's last new copy, is rewritten in
-        place: the bytes go over its old ones and it is cut to their length,
-        so a pool thread's kept input file costs no new inode. Any other
-        ``dest`` is unlinked, and the bytes go into a new file. Either way
-        ``dest`` is a file of its own, so writing to it never reaches the
-        store or another link. The bytes are not hashed: callers check the id
-        with :meth:`WriteBatch.check` first.
+        within a clock tick of the stamp. Any other ``dest`` is unlinked, and
+        the bytes go into a new file, so writing to it never reaches the
+        store or another link. The bytes are not hashed: callers check the
+        id with :meth:`WriteBatch.check` first.
         """
         digest = artifact_id.hash
         with self._object_errors(digest):
             try:
-                # O_NONBLOCK: a FIFO at dest fails the open instead of blocking it.
-                fd = os.open(dest, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+                st = os.lstat(dest)
             except FileNotFoundError:
-                fd = -1
-            except OSError:  # a symlink, or a FIFO no one reads
-                os.unlink(dest)
-                fd = -1
+                pass
             else:
-                st = os.fstat(fd)
                 if stamp is not None and _copy_stamp(digest, st) == stamp:
-                    os.close(fd)
                     return stamp
-                if not (
-                    stat.S_ISREG(st.st_mode)
-                    and st.st_nlink == 1
-                    and (st.st_mode, st.st_uid, st.st_gid) == self._copy_stat
-                ):
-                    os.close(fd)
-                    os.unlink(dest)
-                    fd = -1
-            if fd < 0:
-                fd = os.open(dest, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
-                st = os.fstat(fd)
-                self._copy_stat = (st.st_mode, st.st_uid, st.st_gid)
+                os.unlink(dest)
+            fd = os.open(dest, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
             try:
                 src = os.open(self.object_path(digest), os.O_RDONLY)
                 try:
@@ -235,7 +211,6 @@ class ArtifactStore:
                         copied += sent
                 finally:
                     os.close(src)
-                os.ftruncate(fd, copied)
                 st = set_times_back(fd)
                 return _copy_stamp(digest, st) if st is not None else None
             finally:

@@ -291,11 +291,9 @@ _SUMMARY_TYPES = {
 }
 
 
-def _summary_key(row: dict) -> tuple[str, str]:
-    """Check a ``runs.jsonl`` row's shape; its key is (run id, record digest)."""
-    digest, summary = row["sha256"], row["summary"]
-    if not (isinstance(digest, str) and is_content_hash(digest)):
-        raise ValueError(f"bad record digest {digest!r}")
+def _summary_key(row: dict) -> str:
+    """Check a ``runs.jsonl`` row's shape; its key is the run id."""
+    summary = row["summary"]
     stamp = row.get("stamp")
     if stamp is not None and not (
         isinstance(stamp, list) and len(stamp) == 5 and all(type(value) is int for value in stamp)
@@ -306,7 +304,7 @@ def _summary_key(row: dict) -> tuple[str, str]:
     for name, types in _SUMMARY_TYPES.items():
         if not isinstance(summary[name], types):
             raise TypeError(f"summary field {name}: {summary[name]!r}")
-    return summary["run_id"], digest
+    return summary["run_id"]
 
 
 def _read_record(path: str) -> bytes:
@@ -327,24 +325,24 @@ class RunStore:
 
     Each record is one ``runs/<run-id>.json`` file, the source of truth for
     its run. ``runs.jsonl`` is a :class:`Journal` caching each record's
-    :meth:`RunRecord.summary`, keyed by run id and the SHA-256 of the record
-    file's bytes and grouped by run id. :meth:`record` writes the file,
-    stamps it with :func:`util.set_times_back` and appends a row carrying
-    the digest and the stamp. :meth:`summaries` uses a row without opening
-    the record while the record's stat still equals the stamp, as Git trusts
-    its index's stat data, and otherwise while the record still hashes to
-    the digest; failing both, it loads the record itself. A record is
-    replaced by a rename and never changed in place by the engine, and any
-    other change moves its modification or change time or its inode, with
-    the limit that function states for a change made within a clock tick of
-    the stamp. :meth:`started_at` reads only the row.
+    :meth:`RunRecord.summary`, keyed by run id. :meth:`record` writes the
+    file, stamps it with :func:`util.set_times_back` and appends a row
+    carrying the stamp. :meth:`summaries` uses a row without opening the
+    record only while the record's stat still equals the stamp, as Git
+    trusts its index's stat data, and otherwise decodes the record itself. A
+    record is replaced by a rename and never changed in place by the engine,
+    and any other change moves its modification or change time or its inode,
+    with the limit that function states for a change made within a clock
+    tick of the stamp. So a record changed since, or one on a file system
+    that took no stamp, costs only a read. :meth:`started_at` reads only the
+    row.
     """
 
     def __init__(self, repo: Repository, store: ArtifactStore):
         repo.require()
         self.repo = repo
         self._store = store
-        self._summaries = Journal(repo.runs_journal_path, _summary_key, group=lambda key: (key[0],))
+        self._summaries = Journal(repo.runs_journal_path, _summary_key)
 
     def run_path(self, run_id: str):
         return self.repo.runs_dir / f"{run_id}.json"
@@ -394,7 +392,7 @@ class RunStore:
                     return
                 raise RunConflictError(f"run {record.run_id} already recorded with different content")
             atomic_write_text(path, payload)
-            row = {"sha256": sha256_hex(payload.encode("utf-8")), "summary": record.summary()}
+            row = {"summary": record.summary()}
             stamp = stamp_path(path)
             if stamp is not None:
                 row["stamp"] = list(stamp)
@@ -425,37 +423,32 @@ class RunStore:
         return record
 
     def started_at(self, run_id: str) -> str | None:
-        """The run's start time from its first ``runs.jsonl`` row, without reading its record; None without a row."""
-        keys = self._summaries.group(run_id)
-        return self._summaries.get(keys[0])["summary"]["started_at"] if keys else None
+        """The run's start time from its ``runs.jsonl`` row, without reading its record; None without a row."""
+        row = self._summaries.get(run_id)
+        return row["summary"]["started_at"] if row else None
 
     def summaries(self) -> list[dict]:
         """Every run's :meth:`RunRecord.summary`, in :meth:`list` order.
 
-        A record whose stat equals a ``runs.jsonl`` row's stamp is summarized
-        from that row without being opened. Any other is read, and summarized
-        from a row whose digest its bytes hash to, or else decoded from the
-        bytes just read, so a damaged one raises as :meth:`load` would.
+        A record whose stat equals its ``runs.jsonl`` row's stamp is
+        summarized from that row without being opened. Any other is read and
+        decoded, so a damaged one raises as :meth:`load` would.
         """
         rows = self._summaries.rows()
-        stamped = {(key[0], tuple(row["stamp"])): row for key, row in rows.items() if "stamp" in row}
         summaries = []
         with os.scandir(self.repo.runs_dir) as entries:
             for entry in entries:
                 if entry.name.startswith(".") or not entry.name.endswith(".json"):
                     continue
-                run_id = entry.name[: -len(".json")]
+                row = rows.get(entry.name[: -len(".json")])
                 try:
-                    row = stamped.get((run_id, file_stamp(entry.stat(follow_symlinks=False))))
-                    if row is None:
-                        payload = _read_record(entry.path)
-                        row = rows.get((run_id, sha256_hex(payload)))
+                    if row is not None and row.get("stamp") == list(file_stamp(entry.stat(follow_symlinks=False))):
+                        summaries.append(row["summary"])
+                        continue
+                    payload = _read_record(entry.path)
                 except FileNotFoundError:
                     continue
-                if row is None:
-                    summaries.append(decode_state(self.repo.runs_dir / entry.name, payload, RunRecord.from_dict).summary())
-                else:
-                    summaries.append(row["summary"])
+                summaries.append(decode_state(self.repo.runs_dir / entry.name, payload, RunRecord.from_dict).summary())
         summaries.sort(key=lambda s: (s["started_at"], s["run_id"]))
         return summaries
 

@@ -63,14 +63,20 @@ def answers(journal, keys=KEYS) -> list:
     return out
 
 
-def write_index(index_path: Path, lines: list[str], cut: int) -> int:
-    """Index ``lines`` with a key file covering the first ``cut``; the covered byte count."""
+def write_index(index_path: Path, lines: list[str], cut: int) -> tuple[Journal, int]:
+    """Index ``lines`` with a key file covering the first ``cut``; a handle and the covered byte count.
+
+    The handle reads the index through the key file before another writer
+    appends the rest, which a handle opened after the append would not trust.
+    """
     index_path.write_text("".join(line + "\n" for line in lines[:cut]), encoding="utf-8")
     Journal(index_path, _index_key, group=lambda key: (key[1],)).write_keys()
     covered = index_path.stat().st_size
+    keyed = Journal(index_path, _index_key, group=lambda key: (key[1],))
+    assert keyed.covered == covered
     with open(index_path, "a", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines[cut:]))
-    return covered
+    return keyed, covered
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,8 +90,7 @@ def test_a_key_file_cut_at_any_line_answers_as_a_fresh_parse(lines, cut, where, 
     cut = min(cut, len(lines))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.jsonl"
-        covered = write_index(path, lines, cut)
-        keyed = Journal(path, _index_key, group=lambda key: (key[1],))
+        keyed, covered = write_index(path, lines, cut)
         assert keyed.covered == covered
         assert answers(keyed) == answers(plain(path))
 
@@ -139,10 +144,11 @@ DAMAGE = {
 def test_a_damaged_or_stale_key_file_is_ignored_with_identical_answers(tmp_path, damage):
     path, keys_path = tmp_path / "index.jsonl", tmp_path / "index.idx"
     lines = index_lines(40)
-    write_index(path, lines, 30)
+    # A key file covering the whole index, so that a fresh handle trusts it until it is damaged.
+    write_index(path, lines, len(lines))
     assert Journal(path, _index_key, group=lambda key: (key[1],)).covered > 0
     if damage == "stale":
-        # Another index, longer than the covered prefix, whose bytes the key file does not describe.
+        # Another index of the same length, whose bytes the key file does not describe.
         path.write_text("".join(line + "\n" for line in reversed(lines)), encoding="utf-8")
     else:
         keys_path.write_bytes(DAMAGE[damage](keys_path.read_bytes()))
@@ -249,14 +255,16 @@ def edge_answers(journal, keys=EDGE_KEYS) -> list:
     return out
 
 
-def write_edges(path: Path, lines: list[str], cut: int) -> int:
+def write_edges(path: Path, lines: list[str], cut: int) -> tuple[Journal, int]:
     """:func:`write_index` for an edge log."""
     path.write_text("".join(line + "\n" for line in lines[:cut]), encoding="utf-8")
     Journal(path, _edge_key).write_keys()
     covered = path.stat().st_size
+    keyed = Journal(path, _edge_key)
+    assert keyed.covered == covered
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines[cut:]))
-    return covered
+    return keyed, covered
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,8 +281,7 @@ def test_an_edge_key_file_cut_at_any_line_answers_as_a_fresh_parse(rows, cut, re
     rows = [*rows, {**rows[repeat % cut], "n": 10}]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lineage.jsonl"
-        covered = write_edges(path, [canonical_json(row) for row in rows], cut)
-        keyed = Journal(path, _edge_key)
+        keyed, covered = write_edges(path, [canonical_json(row) for row in rows], cut)
         assert keyed.covered == covered
         assert keyed.get(_edge_key(rows[-1]))["n"] != 10
         assert edge_answers(keyed) == edge_answers(plain_edges(path))
@@ -292,7 +299,7 @@ def test_a_damaged_or_stale_lineage_key_file_is_ignored_with_identical_answers(t
     path = tmp_path / "lineage.jsonl"
     rows = [{"from": f"artifact:{n % 7}", "to": f"run:{n % 5}", "role": "consumed", "n": n} for n in range(40)]
     lines = [canonical_json(row) for row in rows]
-    write_edges(path, lines, 30)
+    write_edges(path, lines, len(lines))  # covering the whole log, as for the index above
     keyed = Journal(path, _edge_key)
     assert keyed.covered > 0
     if damage == "stale":

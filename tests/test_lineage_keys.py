@@ -84,9 +84,10 @@ def queries(log: LineageLog, nodes: list[str]) -> list:
     return [log.runs_using(i, run_store=NoRuns()) for i in ids] + [log.provenance_of(i) for i in ids]
 
 
-def assert_answers_as_the_scan(repo: Repository, nodes: list[str]) -> None:
+def assert_answers_as_the_scan(repo: Repository, nodes: list[str], log: LineageLog | None = None) -> None:
+    """``log``, a fresh one by default, answers as the brute-force scan of the log's bytes does."""
     edges = scan(repo.lineage_path.read_bytes())
-    log = LineageLog(repo)
+    log = log or LineageLog(repo)
     if edges is None:
         try:
             queries(log, nodes)
@@ -121,15 +122,17 @@ def test_lineage_queries_past_the_slack_match_a_brute_force_scan(placed, cut, wh
         repo = Repository(Path(tmp) / ".ca")
         repo.init()
         path = repo.lineage_path
-        # A key file cut at any line.
+        # A key file cut at any line, read by a handle before another writer appends the rest.
         path.write_text("".join(lines[:cut]), encoding="utf-8")
         Journal(path, _edge_key, group=_edge_ends).write_keys()
         covered = path.stat().st_size
+        keyed = LineageLog(repo)
+        assert keyed._journal.covered == covered
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("".join(lines[cut:]))
         assert path.stat().st_size >= KEY_FILE_SLACK
-        assert LineageLog(repo)._journal.covered == covered
-        assert_answers_as_the_scan(repo, nodes)
+        assert keyed._journal.covered == covered
+        assert_answers_as_the_scan(repo, nodes, keyed)
 
         # A writer appending edges brings the key file up to the whole log.
         LineageLog(repo).append_edges([LineageEdge(*added), LineageEdge(HOT, "run:added", "pinned")])
@@ -212,39 +215,17 @@ def test_recording_a_run_pinned_to_a_shared_artifact_decodes_only_its_own_edges(
 
 
 def test_a_key_file_rewrite_hashes_only_the_appended_bytes(repo, monkeypatch):
+    """The bytes a rewrite hashes are the new key file's own: no byte of the log, before or after the append."""
     hot_log(repo)
     hashed = []
     sha256 = hashlib.sha256
-
-    class CountingSha:
-        def __init__(self, data=b"", state=None):
-            self._state = state or sha256()
-            self.update(data)
-
-        def update(self, data):
-            hashed.append(len(data))
-            self._state.update(data)
-
-        def copy(self):
-            return CountingSha(state=self._state.copy())
-
-        def digest(self):
-            return self._state.digest()
-
-    monkeypatch.setattr(journal.hashlib, "sha256", CountingSha)
+    monkeypatch.setattr(journal.hashlib, "sha256", lambda data=b"": (hashed.append(len(data)), sha256(data))[1])
     log = LineageLog(repo)
     assert log.runs_using(ArtifactId.parse(HOT.removeprefix("artifact:")), run_store=NoRuns())
-    hashed.clear()
-    before = repo.lineage_path.stat().st_size
-    assert log.append_edges([LineageEdge(HOT, "run:late", "pinned")]) == 1
-    appended = repo.lineage_path.stat().st_size - before
-    # The query trusted the key file's stamp, so the first rewrite hashes the prefix once.
-    assert sum(hashed) == before + appended + log._journal.keys_path.stat().st_size - 32
-    hashed.clear()
-    before = repo.lineage_path.stat().st_size
-    assert log.append_edges([LineageEdge(HOT, "run:later", "pinned")]) == 1
-    appended = repo.lineage_path.stat().st_size - before
-    assert sum(hashed) == appended + log._journal.keys_path.stat().st_size - 32
+    for run in ("run:late", "run:later"):
+        hashed.clear()
+        assert log.append_edges([LineageEdge(HOT, run, "pinned")]) == 1
+        assert hashed == [log._journal.keys_path.stat().st_size - 32]
     monkeypatch.undo()
     assert LineageLog(repo)._journal.covered == repo.lineage_path.stat().st_size
 

@@ -1,4 +1,4 @@
-"""``ca run ls`` reads the run-summary journal, trusting a row only while its record's bytes match."""
+"""``ca run ls`` reads the run-summary journal, trusting a row only while its record's stamp matches."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from ca_engine.flow import RecordingExecutor, parse_manifest
 from ca_engine.journal import KEY_FILE_SLACK
 from ca_engine.lineage import replay_check
 from ca_engine.pipeline import make_event
-from ca_engine.store import ArtifactKind, sha256_hex
+from ca_engine.store import ArtifactKind
 from ca_engine.tuples import RunRecord, RunStore
 from ca_engine.util import canonical_json, file_stamp
 from helpers import e2e_manifest, e2e_scripts, journal_rows, make_run, seed_main, tear
@@ -121,11 +121,9 @@ def _row(**changes):
         "started_at": "2026-01-01T00:00:00.000000Z", "finished_at": None, "result_ids": [], "labels": {},
         "data_scope": {"kind": "full", "manifest": None},
     }
-    row = {"sha256": "a" * 64, "summary": summary}
+    row = {"summary": summary}
     for name, value in changes.items():
-        if name == "sha256":
-            row["sha256"] = value
-        elif value is None:
+        if value is None:
             del summary[name]
         else:
             summary[name] = value
@@ -137,15 +135,12 @@ def _row(**changes):
     [
         '{"sha256": "' + "a" * 64,
         "[1, 2]",
-        _row(sha256="A" * 64),
-        _row(sha256="a" * 63),
         _row(status=None),
         _row(status=1),
         _row(finished_at=["2026"]),
         _row(labels="x=y"),
     ],
-    ids=["garbled", "array", "uppercase-digest", "short-digest", "missing-field", "int-status",
-         "list-finished-at", "string-labels"],
+    ids=["garbled", "array", "missing-field", "int-status", "list-finished-at", "string-labels"],
 )
 def test_a_bad_summary_line_exits_3_naming_the_journal(repo, store, run_store, capsys, line):
     make_run(store, run_store)
@@ -155,6 +150,17 @@ def test_a_bad_summary_line_exits_3_naming_the_journal(repo, store, run_store, c
     code, _, err = run_ls(repo, capsys, "--json")
     assert code == 3
     assert "integrity-violation" in err and f"{repo.runs_journal_path}: line 2:" in err
+
+
+def test_a_row_that_still_carries_a_record_digest_is_read(repo, store, history, capsys, from_dict_calls):
+    # Rows written before the stamp was the only check held the record's SHA-256; it is no longer read.
+    rows = journal_rows(repo.runs_journal_path)
+    repo.runs_journal_path.write_text("".join(canonical_json({"sha256": "a" * 64, **row}) + "\n" for row in rows))
+    code, out, _ = run_ls(repo, capsys, "--json")
+    assert code == 0 and from_dict_calls == []
+    assert json.loads(out) == {"runs": expected(history)}
+    fresh = RunStore(repo, store)
+    assert [fresh.started_at(row["summary"]["run_id"]) for row in rows] == [row["summary"]["started_at"] for row in rows]
 
 
 def test_recording_a_run_takes_the_lock_once_and_fsyncs_twice(repo, store, run_store, monkeypatch):
@@ -209,10 +215,9 @@ def test_a_writer_appends_past_a_damaged_line_and_leaves_it_to_readers(repo, sto
     first, *rest = repo.runs_journal_path.read_text().splitlines(keepends=True)
     repo.runs_journal_path.write_text(first + '{"sha256": "' + "\n" + "".join(rest))
     record = make_run(store, RunStore(repo, store), steps=1)
-    digest = sha256_hex(run_store.run_path(record.run_id).read_bytes())
     stamp = list(file_stamp(run_store.run_path(record.run_id).stat()))
     last = repo.runs_journal_path.read_text().splitlines()[-1]
-    assert json.loads(last) == {"sha256": digest, "stamp": stamp, "summary": record.summary()}
+    assert json.loads(last) == {"stamp": stamp, "summary": record.summary()}
     code, _, err = run_ls(repo, capsys, "--json")
     assert code == 3
     assert "integrity-violation" in err and f"{repo.runs_journal_path}: line 2:" in err

@@ -15,16 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ca_engine import journal, tuples
+from ca_engine import journal, tuples, util
 from ca_engine.cli import main
 from ca_engine.errors import IntegrityViolationError
 from ca_engine.journal import KEY_FILE_SLACK, Journal
 from ca_engine.lineage import LineageEdge, LineageLog, artifact_ref
+from ca_engine.pipeline import make_event
 from ca_engine.repo import Repository
 from ca_engine.store import ArtifactKind, ArtifactStore, _index_key
 from ca_engine.tuples import RunStore
 from ca_engine.util import canonical_json, file_stamp
-from helpers import baseline_tuple, make_run
+from helpers import baseline_tuple, make_run, seed_main
 
 
 def cli(repo, *argv):
@@ -92,17 +93,42 @@ def test_cold_lookups_hash_no_journal_prefix_while_the_stamps_match(repo, store,
     assert cli(repo, "artifact", "verify", str(history)) == 0
     assert journal_bytes(hashed) == [b"hot"]  # the object itself, and no byte of the index
 
-    # A journal changed since its stamp is hashed as before.
+    # A journal changed since its stamp is parsed, and neither it nor its key file is hashed.
     os.utime(repo.index_path)
     hashed.clear()
     assert cli(repo, "artifact", "verify", str(history)) == 0
-    assert journal_bytes(hashed)[0] == repo.index_path.read_bytes()[: ArtifactStore(repo)._index.covered]
+    assert hashed == [b"hot"]
+    assert ArtifactStore(repo)._index.covered == 0
+
+
+def test_one_shot_writers_hash_no_journal_byte(repo, store, pipeline, history, hashed, tmp_path, capsys):
+    seed_main(pipeline, store)
+    while repo.events_path.stat().st_size < KEY_FILE_SLACK:
+        pipeline.ingest_event(make_event("code", "main", "c1"))
+    manifest = tmp_path / "flow.json"
+    manifest.write_text(json.dumps({
+        "steps": [{"name": "s", "command": "printf done > {output:out}", "inputs": {}, "outputs": ["out"]}],
+        "outcomes": [{"step": "s", "slot": "out"}],
+    }))
+    journals = [repo.events_path, repo.index_path, repo.lineage_path, repo.runs_journal_path]
+    for argv in (
+        ["event", "emit", "--source", "code", "--ref", "main", "--version", "c2", "--id", "late"],
+        ["flow", "run", str(manifest), "--event", "late"],
+    ):
+        hashed.clear()
+        assert cli(repo, *argv) == 0
+        assert json.loads(capsys.readouterr().out)
+        contents = [path.read_bytes() for path in journals]
+        assert [data for data in journal_bytes(hashed) if any(data in content for content in contents)] == []
+    # Each journal's key file was kept current.
+    for path in journals:
+        assert Journal(path, lambda row: 0).covered == path.stat().st_size
 
 
 def test_run_ls_opens_no_record_whose_stamp_matches_its_row(repo, store, run_store, history, capsys, monkeypatch):
     expected = [record.summary() for record in run_store.list()]
     touched = next(iter(sorted(repo.runs_dir.glob("*.json"))))
-    os.utime(touched)  # same bytes, so its row's digest still matches; its stamp no longer does
+    os.utime(touched)  # same bytes, but its stamp no longer matches its row
     runs_dir = repo.runs_dir.resolve()
     opened, digests = [], []
     real_open, real_digest = os.open, tuples.sha256_hex
@@ -117,7 +143,7 @@ def test_run_ls_opens_no_record_whose_stamp_matches_its_row(repo, store, run_sto
     assert cli(repo, "run", "ls") == 0
     assert json.loads(capsys.readouterr().out) == {"runs": expected}
     assert opened == [touched.name]
-    assert digests == [touched.read_bytes()]
+    assert digests == []  # the record is decoded, not hashed
 
 
 def test_rows_without_a_stamp_cost_only_speed(repo, store, run_store, history, capsys, monkeypatch):
@@ -132,18 +158,43 @@ def test_rows_without_a_stamp_cost_only_speed(repo, store, run_store, history, c
     assert len([path for path in opened if Path(path).parent == repo.runs_dir]) == len(expected)
 
 
-def test_a_version_4_key_file_costs_only_speed(repo, history):
-    # Version 4 had no stamp in its header.
+@pytest.mark.parametrize("version", [4, 5])
+def test_a_key_file_of_an_older_version_costs_only_speed(repo, history, version):
+    # Both held the covered prefix's SHA-256 after its length and line count; version 4 had no stamp.
     keys_path = repo.lineage_path.with_suffix(".idx")
     raw = keys_path.read_bytes()
-    v4 = b"caidx\x00\x00\x04" + raw[8:56] + raw[journal._KEYS_HEADER.size : -32]
-    keys_path.write_bytes(v4 + hashlib.sha256(v4).digest())
+    digest = hashlib.sha256(repo.lineage_path.read_bytes()[: int.from_bytes(raw[8:16], "big")]).digest()
+    stamp = raw[24 : journal._KEYS_HEADER.size] if version == 5 else b""
+    old = b"caidx\x00\x00" + bytes([version]) + raw[8:24] + digest + stamp + raw[journal._KEYS_HEADER.size : -32]
+    keys_path.write_bytes(old + hashlib.sha256(old).digest())
     expected = LineageLog(repo).runs_using(history, run_store=RunStore(repo, ArtifactStore(repo)))
     assert LineageLog(repo)._journal.covered == 0
     LineageLog(repo).append_edges([LineageEdge(artifact_ref(history), "run:late", "pinned")])
     log = LineageLog(repo)
-    assert log._journal.covered == repo.lineage_path.stat().st_size and log._journal._keys.sha is None
+    assert log._journal.covered == repo.lineage_path.stat().st_size
     assert log.runs_using(history, run_store=RunStore(repo, ArtifactStore(repo))) == ["late", *expected]  # no start time: first
+
+
+def test_where_no_stamp_can_be_set_no_key_file_is_trusted_and_answers_are_a_fresh_parse(repo, store, run_store, monkeypatch):
+    for module in (util, journal):
+        monkeypatch.setattr(module, "set_times_back", lambda fd: None)
+    hot = store.put(ArtifactKind.DATA, b"hot")
+    log = LineageLog(repo)
+    journals = [repo.index_path, repo.lineage_path, repo.runs_journal_path]
+    records = []
+    while min(path.stat().st_size for path in journals) < KEY_FILE_SLACK:
+        records.append(make_run(store, run_store, avt=baseline_tuple(data_content=hot.hash), steps=1))
+        log.record_edges(records[-1], store=store)
+    assert all(Journal(path, lambda row: 0).covered == 0 for path in journals)
+    assert all("stamp" not in json.loads(line) for line in repo.runs_journal_path.read_text().splitlines())
+    fresh = ArtifactStore(repo)
+    assert all(fresh.has(output) for record in records for output in record.step_outcomes[0].output_ids.values())
+    assert [r.id for r in fresh.find_by_hash(hot.hash)] == [hot]
+    fresh_runs = RunStore(repo, fresh)
+    assert LineageLog(repo).runs_using(hot, run_store=fresh_runs) == [record.run_id for record in records]
+    assert [fresh_runs.started_at(record.run_id) for record in records] == [record.started_at for record in records]
+    assert run_ls(repo) == without_the_run_journal(repo)
+    assert json.loads(run_ls(repo)[1]) == {"runs": [record.summary() for record in run_store.list()]}
 
 
 @pytest.mark.parametrize("stamp", ["1 2 3 4 5", [1, 2, 3, 4], [1, 2, 3, 4, "5"], [1, 2, 3, 4, 5.0], [1, 2, 3, 4, True]])
@@ -239,8 +290,9 @@ def truncate_and_rewrite(path, data, other):
 
 
 def append(path, data, other):
+    """Append the first line of ``other``, or all of it when the change took its only newline."""
     with open(path, "ab") as fh:
-        fh.write(other[: other.index(b"\n") + 1])
+        fh.write(other[: other.find(b"\n") + 1] or other)
 
 
 def chmod(path, data, other):
@@ -290,21 +342,23 @@ def test_after_any_change_to_a_stamped_journal_lookups_answer_as_a_fresh_parse(r
         path = Path(tmp) / "index.jsonl"
         path.write_text("".join(line + "\n" for line in FILLER), encoding="utf-8")
         index_journal(path).write_keys()
+        # A writer that read the journal through its key file, and then the rows another writer
+        # appended, indexes it afresh on its own append, stamping it.
+        stamping = index_journal(path)
+        covered = stamping.covered
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("".join(canonical_json(row) + "\n" for row in rows))
-        # A writer whose key file no longer matches the journal hashes the prefix and appends, stamping it.
-        hashing = index_journal(path)
-        assert hashing.covered > 0 and hashing._keys.sha is not None
-        hashing.append([added[0]])
+        assert stamping.covered == covered > 0
+        stamping.append([added[0]])
         trusting = index_journal(path)
         data = path.read_bytes()
-        assert trusting.covered == len(data) and trusting._keys.sha is None  # trusted by its stamp
+        assert trusting.covered == len(data)  # trusted by its stamp
 
         change(path, data, changed(data, int(where * len(data)), byte))
         assert answers(index_journal(path)) == answers(fresh_parse(path))
         # Writers that read the journal before the change append past the slack and rewrite the key file:
-        # one with the prefix's hash state, then one that trusted the stamp.
-        for writer, row in ((hashing, added[1]), (trusting, added[2])):
+        # the one that stamped it, then one that trusted the stamp.
+        for writer, row in ((stamping, added[1]), (trusting, added[2])):
             writer.append([row])
             assert answers(index_journal(path)) == answers(fresh_parse(path))
 

@@ -277,6 +277,7 @@ def test_a_write_hidden_by_restoring_the_modification_time_is_still_seen(tmp_pat
     blob = store.put(ArtifactKind.DATA, data)
     graph = parse_manifest(json.dumps(fan_manifest(2)))
     inodes = []
+    held = []  # the first copy, kept open so that its inode number cannot go to a file replacing it
 
     def partition(*, command, inputs, outputs, env, workdir):
         index = int(command.split()[-1])
@@ -285,6 +286,7 @@ def test_a_write_hidden_by_restoring_the_modification_time_is_still_seen(tmp_pat
         inodes.append(before.st_ino)
         assert path.read_bytes() == data
         if index == 0:
+            held.append(open(path, "rb"))
             path.write_bytes(data.upper())
             time.sleep(0.02)
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
@@ -298,5 +300,7 @@ def test_a_write_hidden_by_restoring_the_modification_time_is_still_seen(tmp_pat
         kind="validation", store=store, run_store=RunStore(repo, store), parallelism=1,
     )
     assert record.status == "succeeded"
-    assert inodes[0] == inodes[1]  # the kept copy was checked, and rewritten in place
+    assert inodes[0] != inodes[1]  # the kept copy was checked, and replaced
+    with held[0] as first:
+        assert first.read() == data.upper()  # the step's write stayed in the replaced file
     assert store.verify(blob)

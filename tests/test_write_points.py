@@ -26,10 +26,9 @@ PACKAGE = Path(ca_engine.__file__).parent
 ALLOWED = {
     ("cli.py", "cmd_artifact_get"): "`ca artifact get -o` writes the user's output file",
     ("store.py", "ArtifactStore.copy_to"): (
-        "leaves untouched a kept copy whose stamp matches; otherwise rewrites a task's input file in place"
-        " with an object's bytes, or copies them into a new one"
+        "leaves untouched a kept copy whose stamp matches; otherwise copies an object's bytes into a new input file"
     ),
-    ("flow/runner.py", "_take_workdir"): "renames a pool thread's kept workdir, and kept input files in it, for its next task",
+    ("flow/runner.py", "_take_workdir"): "renames a pool thread's kept workdir for its next task",
 }
 
 WRITING_FUNCTIONS = {
