@@ -6,19 +6,24 @@ task is a command with its input files and output slots: every input is a
 resolved artifact or an upstream task's output slot, and the plan also fixes
 which outputs are results and which tasks a task waits for. Each task counts
 the upstream tasks it still waits for, and it starts when its last upstream
-task succeeds; tasks that become ready together are submitted in key order,
-and up to the parallelism limit run at once. A failed task never releases
-its dependents, so they never start, while independent tasks keep running
-and a failed run still yields maximal feedback. Every executed task tears
-down its workdir as soon as its executor returns, stages its log,
-environment snapshot, and outputs in the run's write batch, whose ids its
-dependents can use at once, and contributes a step outcome to the run
-record, in plan order. Once every task has finished, one commit makes the
-staged objects durable and indexes them under a single write lock; then the
-run's feedback bundle is stored, the record is written once, and lineage is
-appended. A task that raises aborts the run before the commit, so nothing
-it or its siblings staged is indexed, and tasks that have not started by
-then return without running or staging anything.
+task succeeds. ``parallelism`` workers, the calling thread among them, take
+ready tasks from one queue, so at most that many run at once. A worker that
+finishes a task counts down its dependents, queues those that became ready
+in key order, and takes the next task itself: no other thread hands tasks
+out. A failed task never releases its dependents, so they never start,
+while independent tasks keep running and a failed run still yields maximal
+feedback. Every executed task tears down its workdir as soon as its
+executor returns, stages its log, environment snapshot, and outputs in the
+run's write batch, whose ids its dependents can use at once, and
+contributes a step outcome to the run record, in plan order. Its worker
+writes their object files only after it has released its dependents, so a
+dependent that starts first copies its input from the staged bytes. Once
+every task has finished, one commit writes whatever is still staged, makes
+the staged objects durable and indexes them under a single write lock; then
+the run's feedback bundle is stored, the record is written once, and
+lineage is appended. A task or object write that raises aborts the run
+before the commit: no worker takes a task after it, the running ones
+finish, and nothing the run staged is indexed.
 
 Each input is hashed once per run: the run's write batch checks it before
 the first task that needs it gets a copy, unless the caller or the batch
@@ -27,9 +32,9 @@ so a step that writes to its inputs reaches neither the store nor a sibling.
 
 A task's workdir ``tmp/<run-id>/<task>/`` is one flat directory holding its
 input copies as ``in.<file>`` and its declared outputs as ``out.<slot>``.
-Each pool thread keeps one workdir for the whole run, as Bazel's
+Each worker keeps one workdir for the whole run, as Bazel's
 ``--reuse_sandbox_directories`` does. Teardown unlinks the outputs and keeps
-the input copies. The thread's next task renames the directory to its own
+the input copies. The worker's next task renames the directory to its own
 name and unlinks each kept copy it has no use for.
 :meth:`ArtifactStore.copy_to` leaves untouched a kept copy of the same bytes
 whose stat still equals the stamp it returned for that copy, and replaces
@@ -40,10 +45,10 @@ replacement of the file changes its modification time, change time, mode,
 link count or inode, so the stamp no longer matches. A step that writes and
 then restores the modification time still moves the change time, except on
 a kernel that records it at a clock tick, where a change within the tick of
-the copy can keep it. So a thread makes one directory per run, and creates
+the copy can keep it. So a worker makes one directory per run, and creates
 and copies an input file only when it kept no unchanged copy of the same
 bytes under that name. A workdir holding anything but regular files with
-the engine's input names is removed with a tree walk, and the thread's next
+the engine's input names is removed with a tree walk, and the worker's next
 task makes a new one. At the end of a run, aborted or not, the kept
 workdirs are removed, then the run root, which reserves the run's id
 (:meth:`RunStore.mint_run_id`) until its record exists.
@@ -52,11 +57,10 @@ workdirs are removed, then the run root, which reserves the run's id
 from __future__ import annotations
 
 import os
-import queue
 import shutil
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping
@@ -178,9 +182,8 @@ def _plan(
 
 
 class _RunContext:
-    def __init__(self, executor, store, batch, workdir_root, env):
+    def __init__(self, executor, batch, workdir_root, env):
         self.executor = executor
-        self.store = store
         self.batch = batch
         self.workdir_root = workdir_root
         self.env = env
@@ -189,9 +192,7 @@ class _RunContext:
         # its producers finished, so it reads its inputs here without the lock.
         self.outputs: dict[tuple[str, str], ArtifactId] = {}
         self.outcomes: dict[str, StepOutcome] = {}
-        # Set by the first task that raises; tasks that start later do nothing.
-        self.aborted = threading.Event()
-        # Each pool thread's kept workdir and the input files left in it, with
+        # Each worker's kept workdir and the input files left in it, with
         # the stamp copy_to returned for each, by thread id.
         self.kept: dict[int, tuple[Path, dict[str, CopyStamp | None]]] = {}
 
@@ -214,17 +215,6 @@ def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: Artif
                 raise UnresolvedInputError(f"pin {ref.component!r} content {pin.content} not in store")
             resolved[ref] = records[0].id
     return resolved
-
-
-def _run_task(ctx: _RunContext, task: _Task) -> bool:
-    """Run one task, unless the run is aborting; a task that raises aborts it."""
-    if ctx.aborted.is_set():
-        return False
-    try:
-        return _execute_task(ctx, task)
-    except BaseException:
-        ctx.aborted.set()
-        raise
 
 
 def _remove_dir(path: Path, files: Iterable[Path] = ()) -> None:
@@ -284,7 +274,7 @@ def _keep_workdir(
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _execute_task(ctx: _RunContext, task: _Task) -> bool:
+def _execute_task(ctx: _RunContext, task: _Task) -> StepOutcome:
     # Slot names hold no dot, so in.<file> and out.<slot> cannot collide.
     workdir = ctx.workdir_root / task.key
     input_paths = {item.key: workdir / f"in.{item.file}" for item in task.inputs}
@@ -297,8 +287,7 @@ def _execute_task(ctx: _RunContext, task: _Task) -> bool:
         for item in task.inputs:
             path = input_paths[item.key]
             source = item.source if isinstance(item.source, ArtifactId) else ctx.outputs[item.source]
-            ctx.batch.check(source)
-            stamps[path.name] = ctx.store.copy_to(source, path, kept.get(path.name))
+            stamps[path.name] = ctx.batch.copy_to(source, path, kept.get(path.name))
             substitution.setdefault(item.placeholder, []).append(str(path))
         for slot, path in declared_outputs.items():
             substitution[f"{{output:{slot}}}"] = [str(path)]
@@ -338,7 +327,7 @@ def _execute_task(ctx: _RunContext, task: _Task) -> bool:
         ctx.outcomes[task.key] = outcome
         for slot, artifact_id in output_ids.items():
             ctx.outputs[(task.owner, slot)] = artifact_id
-    return result.exit_code == 0
+    return outcome
 
 
 def execute(
@@ -406,34 +395,58 @@ def execute(
     workdir_root = (run_store.repo.tmp_dir / run_id).resolve()
 
     env = {name: os.environ[name] for name in graph.env_whitelist if name in os.environ}
-    ctx = _RunContext(executor, store, batch, workdir_root, env)
+    ctx = _RunContext(executor, batch, workdir_root, env)
 
     waiting = {key: len(task.deps) for key, task in tasks.items()}
     dependents: dict[str, list[str]] = {key: [] for key in tasks}
-    for key, task in tasks.items():
-        for dep in task.deps:
+    for key in sorted(tasks):
+        for dep in tasks[key].deps:
             dependents[dep].append(key)
+    ready = deque(key for key in sorted(tasks) if not waiting[key])
+    turn = threading.Condition()
+    running = 0
+    # What tasks and object writes raised; after the first, no worker takes a task.
+    failures: list[BaseException] = []
 
-    completed: queue.SimpleQueue = queue.SimpleQueue()
-    pool = ThreadPoolExecutor(max_workers=max(1, parallelism))
+    def work() -> None:
+        nonlocal running
+        try:
+            while True:
+                with turn:
+                    while not (ready or failures) and running:
+                        turn.wait()
+                    if failures or not ready:
+                        return
+                    key = ready.popleft()
+                    running += 1
+                outcome = _execute_task(ctx, tasks[key])
+                with turn:
+                    running -= 1
+                    # A failed task releases nothing, so its dependents never start.
+                    if outcome.exit_code == 0:
+                        for nxt in dependents[key]:
+                            waiting[nxt] -= 1
+                            if not waiting[nxt]:
+                                ready.append(nxt)
+                    if ready or not running:
+                        turn.notify_all()
+                # Off the critical path: a dependent that starts first copies the staged bytes.
+                batch.write([outcome.log_id, outcome.env_snapshot_id, *outcome.output_ids.values()])
+        except BaseException as exc:
+            with turn:
+                failures.append(exc)
+                turn.notify_all()
 
-    def submit(keys) -> int:
-        for key in sorted(keys):
-            future = pool.submit(_run_task, ctx, tasks[key])
-            future.add_done_callback(lambda future, key=key: completed.put((key, future)))
-        return len(keys)
-
+    # The calling thread is one of the ``parallelism`` workers.
+    workers = [threading.Thread(target=work) for _ in range(parallelism - 1)]
     try:
-        running = submit([key for key, count in waiting.items() if count == 0])
-        while running:
-            key, future = completed.get()
-            running -= 1
-            # A task exception propagates and aborts the run; a failed task
-            # releases nothing, so its dependents never start.
-            if future.result():
-                for nxt in dependents[key]:
-                    waiting[nxt] -= 1
-                running += submit([nxt for nxt in dependents[key] if waiting[nxt] == 0])
+        for worker in workers:
+            worker.start()
+        work()
+        for worker in workers:
+            worker.join()
+        if failures:
+            raise failures[0]
         batch.commit()
 
         outcomes = [ctx.outcomes[key] for key in tasks if key in ctx.outcomes]
@@ -472,7 +485,9 @@ def execute(
             raise metrics_error
         return record
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
         for path, files in ctx.kept.values():
             _remove_dir(path, [path / name for name in files])
         _remove_dir(workdir_root)

@@ -178,7 +178,9 @@ class ArtifactStore:
         self._lookup(artifact_id)
         return self.get_by_hash(artifact_id.hash)
 
-    def copy_to(self, artifact_id: ArtifactId, dest: Path, stamp: CopyStamp | None = None) -> CopyStamp | None:
+    def copy_to(
+        self, artifact_id: ArtifactId, dest: Path, stamp: CopyStamp | None = None, data: bytes | None = None
+    ) -> CopyStamp | None:
         """Make ``dest`` hold the stored bytes, copied inside the kernel, and return its stamp.
 
         After a copy, ``dest`` is stamped with :func:`util.set_times_back`.
@@ -188,8 +190,10 @@ class ArtifactStore:
         untouched, with the limit that function states for a change made
         within a clock tick of the stamp. Any other ``dest`` is unlinked, and
         the bytes go into a new file, so writing to it never reaches the
-        store or another link. The bytes are not hashed: callers check the
-        id with :meth:`WriteBatch.check` first.
+        store or another link. The bytes are not hashed: callers copy
+        through :meth:`WriteBatch.copy_to`, which checks the id first and
+        passes as ``data`` the staged bytes of an object whose file is not
+        written yet, to be written in place of the object file's.
         """
         digest = artifact_id.hash
         with self._object_errors(digest):
@@ -203,14 +207,19 @@ class ArtifactStore:
                 os.unlink(dest)
             fd = os.open(dest, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
             try:
-                src = os.open(self.object_path(digest), os.O_RDONLY)
-                try:
-                    size = os.fstat(src).st_size
-                    copied = 0
-                    while copied < size and (sent := os.sendfile(fd, src, copied, size - copied)):
-                        copied += sent
-                finally:
-                    os.close(src)
+                if data is not None:
+                    view = memoryview(data)
+                    while view:
+                        view = view[os.write(fd, view) :]
+                else:
+                    src = os.open(self.object_path(digest), os.O_RDONLY)
+                    try:
+                        size = os.fstat(src).st_size
+                        copied = 0
+                        while copied < size and (sent := os.sendfile(fd, src, copied, size - copied)):
+                            copied += sent
+                    finally:
+                        os.close(src)
                 st = set_times_back(fd)
                 return _copy_stamp(digest, st) if st is not None else None
             finally:
@@ -309,18 +318,21 @@ class ArtifactStore:
 class WriteBatch:
     """Artifacts staged into a store and indexed together by one :meth:`commit`.
 
-    :meth:`put` hashes the bytes in memory and returns their id at once.
-    Unless some kind already indexes that hash, it writes the object file
-    through a temp file and a rename, with no fsync and no repository lock;
-    a file already there without an index row is replaced, never trusted.
-    :meth:`commit` takes the write lock once, fsyncs each object file the
-    batch wrote, and appends every index row still missing with one
-    :meth:`Journal.append_new`. Until then no staged id is in the store. Safe to
-    share between threads.
+    :meth:`put` hashes the bytes in memory and returns their id at once,
+    writing nothing. Unless some kind already indexes that hash, the bytes
+    stay staged in the batch until :meth:`write` writes their object file
+    through a temp file and a rename, with no fsync and no repository lock,
+    and drops them; a file already there without an index row is replaced,
+    never trusted. Concurrent writes of one blob write it once. Until its
+    file is written, :meth:`copy_to` copies a blob from the staged bytes.
+    :meth:`commit` writes whatever is still staged, then takes the write lock
+    once, fsyncs each object file the batch wrote, and only then appends
+    every index row still missing with one :meth:`Journal.append_new`. Until
+    then no staged id is in the store. Safe to share between threads.
 
     A batch is run-scoped and trusts only hashes seeded as ``verified``, ones
-    :meth:`check` passed, and ones whose object file :meth:`put` wrote from
-    bytes it hashed: a file that ``put`` found indexed predates the batch.
+    :meth:`check` passed, and ones whose bytes :meth:`put` hashed and staged:
+    a file that ``put`` found indexed predates the batch.
     """
 
     def __init__(self, store: ArtifactStore, verified: Iterable[str] = ()):
@@ -328,6 +340,8 @@ class WriteBatch:
         self._lock = threading.Lock()
         self._records: dict[tuple[str, str], ArtifactRecord] = {}
         self._file_locks: dict[str, threading.Lock] = {}
+        # Bytes put hashed whose object file is not written yet, by digest.
+        self._staged: dict[str, bytes] = {}
         # Digests whose object file this batch wrote from bytes it hashed.
         self._written: set[str] = set()
         self._trusted: set[str] = set(verified)
@@ -347,22 +361,35 @@ class WriteBatch:
         labels = dict(labels or {})
         if not all(labels):
             raise ValueError("label keys must be nonempty")
-        store = self._store
         digest = sha256_hex(data)
         artifact_id = ArtifactId(kind, digest)
         key = (kind.value, digest)
-        indexed = store._index.group(digest)  # the one lookup, and the one stat of the index
+        indexed = self._store._index.group(digest)  # the one lookup, and the one stat of the index
         if key in indexed:
             return artifact_id
         with self._lock:
             self._records.setdefault(key, ArtifactRecord(artifact_id, len(data), media_type, utc_now_iso(), labels))
-        # Held while writing, so a second put of these bytes returns only once the file is in place.
-        with self._file_lock(digest):
-            if digest not in self._written and not indexed:
-                atomic_write_bytes(store.object_path(digest), data, durable=False)
-                self._written.add(digest)
+            if not indexed and digest not in self._written:
+                self._staged.setdefault(digest, data)
                 self._trusted.add(digest)
         return artifact_id
+
+    def write(self, ids: Iterable[ArtifactId]) -> None:
+        """Write the object file of each of ``ids`` still staged, and drop its bytes.
+
+        A second write of one blob waits for the first, so each of ``ids``
+        has its file in place when this returns.
+        """
+        for artifact_id in ids:
+            digest = artifact_id.hash
+            with self._file_lock(digest):
+                data = self._staged.get(digest)
+                if data is None:
+                    continue
+                atomic_write_bytes(self._store.object_path(digest), data, durable=False)
+                with self._lock:
+                    self._written.add(digest)
+                    del self._staged[digest]
 
     def check(self, artifact_id: ArtifactId) -> None:
         """Raise as :meth:`ArtifactStore.get` would, unless the hash is trusted.
@@ -383,10 +410,19 @@ class WriteBatch:
                 raise IntegrityViolationError(f"stored bytes of {artifact_id} no longer match digest")
             self._trusted.add(digest)
 
+    def copy_to(self, artifact_id: ArtifactId, dest: Path, stamp: CopyStamp | None = None) -> CopyStamp | None:
+        """:meth:`check` the id, then :meth:`ArtifactStore.copy_to`, from the staged bytes while they are unwritten."""
+        self.check(artifact_id)
+        return self._store.copy_to(artifact_id, dest, stamp, self._staged.get(artifact_id.hash))
+
     def commit(self) -> None:
-        """Make the staged objects durable, then index them; a no-op when nothing is staged."""
+        """Write what is still staged, make every object file the batch wrote durable, then index them.
+
+        A no-op when nothing is staged.
+        """
         if not self._records:
             return
+        self.write([record.id for record in self._records.values()])
         store = self._store
         with store._repo.write_lock():
             for digest in sorted(self._written):

@@ -955,3 +955,140 @@ def test_a_workdir_the_step_left_files_in_is_still_removed(litter, repo, store, 
     # Each task found only its own workdir: the littered ones before it were gone.
     assert [len(listing) for listing in listings] == [1] * 5
     assert list(repo.tmp_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_never_more_than_parallelism_tasks_run_at_once(parallelism, store, run_store):
+    blob = store.put(ArtifactKind.DATA, b"shared input\n")
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 12)))
+    busy = []
+
+    def hold(workdir):
+        busy.append(executor.busy)
+        time.sleep(0.01)
+
+    executor = Watched(fan_executor(), on_run=hold)
+    record = execute(
+        graph, baseline_tuple(data_content=blob.hash), executor,
+        kind="validation", store=store, run_store=run_store, parallelism=parallelism,
+    )
+    assert record.status == "succeeded"
+    assert len(busy) == 13
+    assert max(busy) <= parallelism
+    assert parallelism == 1 or max(busy) > 1
+
+
+def test_tasks_that_become_ready_together_start_in_key_order(store, run_store):
+    def step(name, *upstream):
+        inputs = {f"in{i}": {"step": u, "slot": "out"} for i, u in enumerate(upstream)}
+        return {"name": name, "command": "go {output:out}", "inputs": inputs, "outputs": ["out"]}
+
+    fan = {
+        "name": "fan", "command": "go {input:in0} {output:out} {partition}",
+        "inputs": {"in0": {"step": "root", "slot": "out"}}, "outputs": ["out"],
+        "partition": {"count": 11, "merge_command": "join {partitions:out} {output:merged}"},
+    }
+    manifest = {
+        "steps": [step("root"), step("zeta", "root"), fan, step("alpha", "root"), step("c_two"), step("b_one"),
+                  step("mid", "root", "c_two")],
+        "outcomes": [{"step": "zeta", "slot": "out"}],
+    }
+    graph = parse_manifest(json.dumps(manifest))
+
+    def default(*, command, inputs, outputs, env, workdir):
+        return ScriptedResult({slot: workdir.name.encode() for slot in outputs}, 0, b"")
+
+    executor = RecordingExecutor({}, default=default)
+    record = execute(
+        graph, baseline_tuple(), executor, kind="validation", store=store, run_store=run_store, parallelism=1,
+    )
+    assert record.status == "succeeded"
+    started = [inv.key for inv in sorted(executor.invocations, key=lambda inv: inv.start_seq)]
+    partitions = sorted(f"fan.p{i}" for i in range(11))  # fan.p0, fan.p1, fan.p10, fan.p2, ...
+    # b_one, c_two and root are ready at once, and root's finish makes all the rest but the merge ready together.
+    assert started == ["b_one", "c_two", "root", "alpha", *partitions, "mid", "zeta", "fan.merge"]
+
+
+def test_no_worker_thread_outlives_a_run(store, run_store):
+    blob = store.put(ArtifactKind.DATA, b"shared input\n")
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 8)))
+    avt = baseline_tuple(data_content=blob.hash)
+    before = threading.active_count()
+    record = execute(graph, avt, fan_executor(), kind="validation", store=store, run_store=run_store, parallelism=4)
+    assert record.status == "succeeded"
+    assert threading.active_count() == before
+
+    def lose_backend(**kwargs):
+        raise ExecutorFailureError("executor lost its backend")
+
+    failing = fan_executor()
+    failing.scripts["fan.p1"] = lose_backend
+    with pytest.raises(ExecutorFailureError):
+        execute(graph, avt, failing, kind="validation", store=store, run_store=run_store, parallelism=4)
+    assert threading.active_count() == before
+
+
+def test_a_dependent_starts_before_its_producers_object_file_is_written(repo, store, run_store, monkeypatch):
+    produced = b"upstream bytes\n" * 50
+    manifest = {
+        "steps": [
+            {"name": "a", "command": "make {output:out}", "inputs": {}, "outputs": ["out"]},
+            {"name": "b", "command": "use {input:src} {output:out}", "inputs": {"src": {"step": "a", "slot": "out"}}, "outputs": ["out"]},
+        ],
+        "outcomes": [{"step": "b", "slot": "out"}],
+    }
+    graph = parse_manifest(json.dumps(manifest))
+    path = store.object_path(sha256_hex(produced))
+    started, waited, seen = threading.Event(), [], []
+    write = store_mod.atomic_write_bytes
+
+    def held_write(target, data, **kwargs):
+        if target == path:
+            waited.append(started.wait(timeout=5))
+        write(target, data, **kwargs)
+
+    def dependent(*, command, inputs, outputs, env, workdir):
+        started.set()
+        seen.append(inputs["src"].read_bytes())
+        return ScriptedResult({"out": b"done\n"}, 0, b"")
+
+    monkeypatch.setattr(store_mod, "atomic_write_bytes", held_write)
+    executor = RecordingExecutor({"a": scripted({"out": produced}), "b": dependent})
+    record = execute(
+        graph, baseline_tuple(), executor, kind="validation", store=store, run_store=run_store, parallelism=2
+    )
+    assert waited == [True]
+    assert seen == [produced]
+    assert record.status == "succeeded"
+    upstream = next(o for o in record.step_outcomes if o.step == "a").output_ids["out"]
+    assert store.verify(upstream) and store.get(upstream) == produced
+
+
+def test_more_workers_than_cores_under_frequent_thread_switches_run_every_task_once(store, run_store):
+    data = b"shared input\n"
+    blob = store.put(ArtifactKind.DATA, data)
+    graph = parse_manifest(json.dumps(fan_manifest({"pin": "data"}, 64)))
+    records, executors = [], []
+
+    def runs():
+        for _ in range(3):
+            executors.append(fan_executor())
+            records.append(execute(
+                graph, baseline_tuple(data_content=blob.hash), executors[-1],
+                kind="validation", store=store, run_store=run_store, parallelism=8,
+            ))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(target=runs)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(records) == 3
+    for record, executor in zip(records, executors):
+        assert record.status == "succeeded"
+        assert sorted(i.key for i in executor.invocations) == sorted([*(f"fan.p{i}" for i in range(64)), "fan.merge"])
+        assert store.get(record.result_ids[0]) == b"".join(fan_line(i, data) for i in range(64))

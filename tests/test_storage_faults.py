@@ -17,6 +17,8 @@ import errno
 import io
 import json
 import os
+import tempfile
+import threading
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -301,6 +303,65 @@ def test_a_full_disk_at_the_run_workdir_exits_3_naming_it(tmp_path, monkeypatch)
     assert code == 3
     assert "error[storage-io]" in err and f"{tmp}/" in err
     assert list(tmp.iterdir()) == [] and list((ws.root / ".ca" / "runs").iterdir()) == []
+    assert run_cycle(ws, 2) is None
+
+
+# Two tasks ready at once, each long enough that each of two workers takes one.
+TWO_WORKER_FLOW = {
+    "steps": [
+        {
+            "name": "left",
+            "command": "sleep 0.1; cat {input:dataset} > {output:model}",
+            "inputs": {"dataset": {"pin": "data"}},
+            "outputs": ["model"],
+        },
+        {
+            "name": "right",
+            "command": "sleep 0.1; cat {input:__data_manifest} > {output:model}",
+            "inputs": {},
+            "outputs": ["model"],
+        },
+        {
+            "name": "evaluate",
+            "command": "printf '{\"accuracy\": 0.91}' > {output:metrics}",
+            "inputs": {"left": {"step": "left", "slot": "model"}, "right": {"step": "right", "slot": "model"}},
+            "outputs": ["metrics"],
+        },
+    ],
+    "outcomes": [{"step": "evaluate", "slot": "metrics"}],
+    "metrics_output": {"step": "evaluate", "slot": "metrics"},
+}
+
+
+@pytest.mark.parametrize("on_calling_thread", [False, True], ids=["pool-thread", "calling-thread"])
+def test_a_full_disk_at_an_object_write_after_a_task_exits_3_naming_it(tmp_path, monkeypatch, on_calling_thread):
+    ws = Workspace(tmp_path / "ws")
+    ws.flow.write_text(json.dumps(TWO_WORKER_FLOW))
+    root = ws.root / ".ca"
+    steps = ws.cycle(1)
+    argv = next(steps)
+    while argv[0] != "flow":
+        argv = steps.send(ca(*argv))
+    index = (root / "index.jsonl").read_bytes()
+    failed = []
+    mkstemp = tempfile.mkstemp
+
+    def full(*args, dir=None, prefix=None, **kwargs):
+        # Each task's object files are written after it releases its dependents; commit runs after every task.
+        here = threading.current_thread() is threading.main_thread()
+        if not failed and dir is not None and Path(dir).parent == root / "objects" and here == on_calling_thread:
+            failed.append(Path(dir) / prefix[1:-1])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkstemp(*args, dir=dir, prefix=prefix, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tempfile, "mkstemp", full)
+        code, _, err = ca(*argv, "--parallelism", 2)
+    (path,) = failed
+    assert code == 3
+    assert "error[storage-io]" in err and str(path) in err
+    assert (root / "index.jsonl").read_bytes() == index
+    assert list((root / "tmp").iterdir()) == [] and list((root / "runs").iterdir()) == []
     assert run_cycle(ws, 2) is None
 
 

@@ -276,8 +276,13 @@ def test_batch_stages_without_indexing_and_commits_once(repo, store, monkeypatch
     ids = [batch.put(ArtifactKind.RESULT, blob) for blob in data]
     assert ids[0] == ids[2]
     assert not any(store.has(artifact_id) for artifact_id in ids)
-    # The staged bytes are already in place, the orphan among them.
+    # Staging writes no file: the orphan is as it was, and the log has none.
+    assert store.object_path(ids[1].hash).read_bytes() == b"torn"
+    assert not store.object_path(ids[0].hash).exists()
+    # A write puts the staged bytes in place of the orphan; commit writes the log.
+    batch.write([ids[1]])
     assert store.object_path(ids[1].hash).read_bytes() == data[1]
+    assert not any(store.has(artifact_id) for artifact_id in ids)
 
     entered = []
     original = Repository.write_lock
@@ -294,14 +299,16 @@ def test_batch_stages_without_indexing_and_commits_once(repo, store, monkeypatch
     assert [row["hash"] for row in journal_rows(repo.index_path)] == [ids[0].hash, ids[1].hash]
 
 
-def test_concurrent_puts_of_one_blob_return_only_once_its_file_is_in_place(repo, store, monkeypatch):
+def test_concurrent_puts_and_writes_of_one_blob_write_it_once(repo, store, monkeypatch):
     blobs = [b"first blob\n" * 1000, b"second blob\n" * 1000]
     kinds = [ArtifactKind.DATA, ArtifactKind.RESULT]
     workers = 16
     start = threading.Barrier(workers)
+    written = []
 
     def slow_write(path, data, **kwargs):
-        time.sleep(0.05)  # a wide window for a second put of the same bytes
+        written.append(path)
+        time.sleep(0.05)  # a wide window for a second write of the same bytes
         atomic_write_bytes(path, data, **kwargs)
 
     monkeypatch.setattr(store_mod, "atomic_write_bytes", slow_write)
@@ -311,6 +318,7 @@ def test_concurrent_puts_of_one_blob_return_only_once_its_file_is_in_place(repo,
         blob = blobs[i % 2]
         start.wait(timeout=30)
         artifact_id = batch.put(kinds[i // 2 % 2], blob)
+        batch.write([artifact_id])
         return store.object_path(artifact_id.hash).read_bytes() == blob
 
     interval = sys.getswitchinterval()
@@ -321,7 +329,9 @@ def test_concurrent_puts_of_one_blob_return_only_once_its_file_is_in_place(repo,
     finally:
         sys.setswitchinterval(interval)
     assert all(in_place)
+    assert sorted(written) == sorted(store.object_path(sha256_hex(blob)) for blob in blobs)
     batch.commit()
+    assert len(written) == len(blobs)
     indexed = [(row["kind"], row["hash"]) for row in journal_rows(repo.index_path)]
     assert sorted(indexed) == sorted((kind.value, sha256_hex(blob)) for kind in kinds for blob in blobs)
 
@@ -370,9 +380,54 @@ def test_staging_new_bytes_stats_the_index_once_per_put(repo, store, monkeypatch
     ids.append(batch.put(ArtifactKind.CODE, b"indexed"))  # new as code, its object file already indexed
     monkeypatch.undo()
     assert len(stats) == len(ids)
-    assert object_count(store) == 4
+    assert object_count(store) == 1
     batch.commit()
+    assert object_count(store) == 4
     assert all(ArtifactStore(repo).has(artifact_id) for artifact_id in ids)
+
+
+@pytest.mark.parametrize("fault", [None, "write", "fsync"])
+def test_commit_appends_no_row_for_a_blob_whose_file_is_not_written_and_fsynced(repo, store, monkeypatch, fault):
+    store.put(ArtifactKind.DATA, b"indexed")
+    rows = journal_rows(repo.index_path)
+    batch = WriteBatch(store)
+    ids = [batch.put(ArtifactKind.RESULT, b"blob %d" % n) for n in range(3)]
+    batch.write(ids[:1])
+    failing = store.object_path(ids[2].hash)
+    written, synced, appended = [], [], []
+    write, fsync_file, append_new = store_mod.atomic_write_bytes, store_mod.fsync_file, store._index.append_new
+
+    def checked_write(path, data, **kwargs):
+        if fault == "write" and path == failing:
+            raise StorageError(f"cannot write {path}: No space left on device")
+        write(path, data, **kwargs)
+        written.append(path)
+
+    def checked_fsync(path):
+        if fault == "fsync" and path == failing:
+            raise StorageError(f"cannot write {path}: Input/output error")
+        fsync_file(path)
+        synced.append(path)
+
+    def checked_append(rows):
+        rows = list(rows)
+        appended.extend(row["hash"] for row in rows)
+        assert all(store.object_path(row["hash"]) in synced for row in rows)
+        return append_new(rows)
+
+    monkeypatch.setattr(store_mod, "atomic_write_bytes", checked_write)
+    monkeypatch.setattr(store_mod, "fsync_file", checked_fsync)
+    monkeypatch.setattr(store._index, "append_new", checked_append)
+    if fault is None:
+        batch.commit()
+        assert sorted(appended) == sorted(artifact_id.hash for artifact_id in ids)
+        assert written == [store.object_path(artifact_id.hash) for artifact_id in ids[1:]]
+        assert all(ArtifactStore(repo).has(artifact_id) for artifact_id in ids)
+    else:
+        with pytest.raises(StorageError, match=str(failing)):
+            batch.commit()
+        assert appended == []
+        assert journal_rows(repo.index_path) == rows
 
 
 @pytest.mark.parametrize(
