@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -73,42 +74,30 @@ class _Context:
             raise ValueError("parallelism must be >= 1")
         if not (0 < self.subset_fraction <= 1):
             raise ValueError("subset_fraction must be in (0, 1]")
-        self._store = None
-        self._runs = None
-        self._lineage = None
-        self._pipeline = None
 
-    @property
+    @cached_property
     def store(self) -> ArtifactStore:
-        if self._store is None:
-            self._store = ArtifactStore(self.repo)
-        return self._store
+        return ArtifactStore(self.repo)
 
-    @property
+    @cached_property
     def runs(self) -> RunStore:
-        if self._runs is None:
-            self._runs = RunStore(self.repo, self.store)
-        return self._runs
+        return RunStore(self.repo, self.store)
 
-    @property
+    @cached_property
     def lineage(self) -> LineageLog:
-        if self._lineage is None:
-            self._lineage = LineageLog(self.repo)
-        return self._lineage
+        return LineageLog(self.repo)
 
-    @property
+    @cached_property
     def pipeline(self) -> Pipeline:
-        if self._pipeline is None:
-            self._pipeline = Pipeline(
-                self.repo,
-                self.store,
-                self.runs,
-                self.lineage,
-                subset_fraction=self.subset_fraction,
-                subset_seed=self.subset_seed,
-                parallelism=self.parallelism,
-            )
-        return self._pipeline
+        return Pipeline(
+            self.repo,
+            self.store,
+            self.runs,
+            self.lineage,
+            subset_fraction=self.subset_fraction,
+            subset_seed=self.subset_seed,
+            parallelism=self.parallelism,
+        )
 
     def load_graph(self, manifest_arg: str | None):
         path = manifest_arg or self.flow_manifest
@@ -351,11 +340,12 @@ def cmd_gate_eval(args) -> int:
 
 def cmd_approve(args) -> int:
     ctx = _Context(args)
+    # The flow is loaded first, so a flow that cannot be loaded records no approval.
+    graph = ctx.load_graph(args.flow) if args.auto_release else None
     request = ctx.pipeline.approve(args.run_id, args.by)
     doc = request.to_dict()
     human = f"approved {args.run_id} (by {args.by})"
-    if args.auto_release:
-        graph = ctx.load_graph(args.flow)
+    if graph is not None:
         release = ctx.pipeline.run_release(args.run_id, graph, ProcessExecutor())
         doc = {"approval": doc, "release": release.summary()}
         human += f"\nrelease {release.run_id} {release.status}"

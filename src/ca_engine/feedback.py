@@ -11,6 +11,7 @@ metric-by-metric alongside their tuple diff.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -41,6 +42,17 @@ _COMPARATORS = {
     ">": operator.gt,
     "=": operator.eq,
 }
+
+
+def _finite(value: object) -> float | None:
+    """``value`` as a float when it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 def _entry_to_dict(outcome: StepOutcome) -> dict:
@@ -80,19 +92,20 @@ def build_bundle(run: RunRecord, outcomes: Sequence[StepOutcome]) -> FeedbackBun
 
 
 def extract_metrics(bundle: FeedbackBundle, metrics_artifact: ArtifactId, *, store: ArtifactStore) -> dict[str, float]:
-    """Parse a flat string→number document and merge it into bundle.metrics."""
+    """Parse a flat string→finite-number document and merge it into bundle.metrics."""
     raw = store.get(metrics_artifact)
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise MalformedMetricsError(f"metrics artifact {metrics_artifact} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedMetricsError(f"metrics artifact {metrics_artifact} must be a JSON object")
     parsed: dict[str, float] = {}
     for key, value in doc.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedMetricsError(f"metric {key!r} has non-numeric value {value!r}")
-        parsed[key] = float(value)
+        number = _finite(value)
+        if number is None:
+            raise MalformedMetricsError(f"metric {key!r} has a value that is not a finite number: {value!r}")
+        parsed[key] = number
     bundle.metrics.update(parsed)
     return parsed
 
@@ -197,10 +210,10 @@ def load_gate_policy(path: Path) -> GatePolicy:
         if not isinstance(row, dict) or set(row) != {"metric", "op", "threshold"}:
             raise GatePolicyError(f"{path}: constraints[{i}] must have metric, op, threshold")
         op = "=" if row["op"] == "==" else row["op"]
-        value = row["threshold"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise GatePolicyError(f"{path}: constraints[{i}] threshold must be a number")
-        constraints.append(GateConstraint(str(row["metric"]), op, float(value)))
+        threshold = _finite(row["threshold"])
+        if threshold is None:
+            raise GatePolicyError(f"{path}: constraints[{i}] threshold must be a finite number")
+        constraints.append(GateConstraint(str(row["metric"]), op, threshold))
     return GatePolicy(tuple(constraints))
 
 

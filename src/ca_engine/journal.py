@@ -40,9 +40,12 @@ until the next writer rewrites the key file. On a file system that does not
 keep the modification time to the nanosecond no stamp is taken, no key file
 is written, and every read parses the whole journal.
 
-Readers never write a key file. Once a journal holds ``KEY_FILE_SLACK``
-bytes, each append by a writer that has read the whole journal rewrites the
-key file to cover the journal again, under the write lock it holds. While
+Every append reads the journal first: it parses what its handle has not
+yet read, through the key file as any read does, so a damaged line fails
+the writer as it fails a reader, and a row whose key already has one is
+dropped, as every read would ignore it. Readers never write a key file.
+Once a journal holds ``KEY_FILE_SLACK`` bytes, each append rewrites the key
+file to cover the journal again, under the write lock it holds. While
 the journal's stat still equals the one the handle took when it last read
 or wrote it, the writer extends the newest key file it read or wrote: it
 reads and decodes only the bytes past that key file's prefix and merges
@@ -50,10 +53,7 @@ their records into its sorted ones. A journal changed since in any other
 way is indexed afresh from its first line. The file is written in place and
 never fsynced, and errors writing it are ignored: it is derived and its own
 digest fails when a write was cut short, so losing or damaging it costs
-only speed. A writer that has not read a journal of ``KEY_FILE_SLACK``
-bytes or more reads it first, through its key file, so that every writer
-keeps the key file current; one that cannot, because a line is damaged,
-appends without and never rewrites the key file.
+only speed.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from typing import Callable, Hashable, Iterable, Iterator
 from .errors import IntegrityViolationError, InvalidTupleError, StorageError
 from .util import FileStamp, append_line, canonical_json, file_stamp, overwrite_bytes, set_times_back, storage_errors
 
-# Journal bytes from which each append by a writer that has read the journal rewrites its key file.
+# Journal bytes from which each append rewrites the journal's key file.
 KEY_FILE_SLACK = 32 * 1024
 
 # <name>.idx: header, records sorted by (digest, line), then the SHA-256 of both.
@@ -167,8 +167,8 @@ class Journal:
     optionally maps each key to a tuple of lookup values, so that
     :meth:`group` returns every key with a given value without a scan; a
     point lookup reads the rows of its key's first value. Writers must hold
-    the repository write lock around :meth:`append` and :meth:`append_new`,
-    and around any read whose answer decides what they append.
+    the repository write lock around :meth:`append`, and around any read
+    whose answer decides what they append.
     """
 
     def __init__(
@@ -374,35 +374,15 @@ class Journal:
 
     # -- writing -------------------------------------------------------------
 
-    def append(self, rows: Iterable[dict]) -> None:
-        """Durably append rows with one write and one fsync; the caller holds the write lock.
+    def append(self, rows: Iterable[dict]) -> int:
+        """Durably append the rows whose key has no row yet, first per key, with one write and one fsync.
 
-        A journal that has read the whole file indexes the rows without
-        reading them back. Any other first reads a file of ``KEY_FILE_SLACK``
-        bytes or more, through its key file, so that the append keeps the key
-        file current. A smaller file, or one with a damaged line, it does not
-        parse: it reads the bytes past what it parsed once to find the end of
-        the file's last complete line, and its next read parses the new rows
-        with the rest.
-        """
-        keyed = [(self._key(row), row) for row in rows]
-        if keyed:
-            with self._lock:
-                size = self._size()
-                if self._seen < size and size >= KEY_FILE_SLACK:
-                    try:
-                        self._catch_up()
-                        size = self._seen
-                    except IntegrityViolationError:
-                        pass  # the damage is left to readers, which report it
-                self._write(keyed, size)
-
-    def append_new(self, rows: Iterable[dict]) -> int:
-        """Append the rows whose key has no row yet, first per key; returns how many.
-
-        The caller holds the write lock. Under it the journal cannot grow, so
-        after one catch-up the keys are tested without another ``stat`` and
-        the append writes at the size the catch-up saw.
+        Returns how many it appended. The caller holds the write lock. The
+        journal first catches up, through its key file once the file holds
+        ``KEY_FILE_SLACK`` bytes, so a damaged line raises as it does for a
+        reader. Under the lock the file cannot grow, so the rows are written
+        at the end of its last complete line, cutting off a torn tail, and
+        are indexed without being read back.
         """
         keyed: dict[Hashable, dict] = {}
         for row in rows:
@@ -410,39 +390,21 @@ class Journal:
         with self._lock:
             self._catch_up()
             missing = [(key, row) for key, row in keyed.items() if self._find(key) is None]
-            self._write(missing, self._seen)
+            if not missing:
+                return 0
+            text = "\n".join(canonical_json(row) for _, row in missing)
+            st = append_line(self.path, text, truncate_to=self._offset if self._seen > self._offset else None)
+            self._stat = file_stamp(st) if self._stat is not None and self._stat == self._now else None
+            for key, row in missing:
+                self._insert(key, row)
+            self._lines += len(missing)
+            self._offset = self._seen = self._offset + len(text.encode("utf-8")) + 1
+            if self._offset >= KEY_FILE_SLACK:
+                try:
+                    self._write_keys()
+                except (OSError, StorageError, *_ROW_ERRORS):
+                    pass  # the key file is derived: without it readers parse more
         return len(missing)
-
-    def _write(self, keyed: list[tuple[Hashable, dict]], size: int) -> None:
-        """Append keyed rows to the file, now ``size`` bytes long; the caller holds both locks."""
-        if not keyed:
-            return
-        text = "\n".join(canonical_json(row) for _, row in keyed)
-        current = size == self._seen
-        end = self._offset if current else self._line_end(size)
-        st = append_line(self.path, text, truncate_to=end if size > end else None)
-        if not current:
-            self._seen = self._offset  # forget a torn tail it saw: the file past the offset changed
-            return
-        self._stat = file_stamp(st) if self._stat is not None and self._stat == self._now else None
-        # Under the write lock the file now ends with exactly these rows.
-        for key, row in keyed:
-            self._insert(key, row)
-        self._lines += len(keyed)
-        self._offset = self._seen = end + len(text.encode("utf-8")) + 1
-        if self._offset >= KEY_FILE_SLACK:
-            try:
-                self._write_keys()
-            except (OSError, StorageError, *_ROW_ERRORS):
-                pass  # the key file is derived: without it readers parse more
-
-    def _line_end(self, size: int) -> int:
-        """The offset after the last newline in the first ``size`` bytes; the parsed offset when none is past it."""
-        if size <= self._offset:
-            return self._offset
-        with storage_errors(self.path, "read"), open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            return self._offset + fh.read(size - self._offset).rfind(b"\n") + 1
 
     def write_keys(self) -> None:
         """Rewrite the key file to cover every complete line; the caller holds the write lock.

@@ -74,7 +74,7 @@ class LineageLog:
     def append_edges(self, edges: Iterable[LineageEdge]) -> int:
         """Append edges not already present in one batch; returns how many were added."""
         with self._repo.write_lock():
-            return self._journal.append_new(edge.to_dict() for edge in edges)
+            return self._journal.append(edge.to_dict() for edge in edges)
 
     # -- recording -----------------------------------------------------------
 

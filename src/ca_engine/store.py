@@ -327,7 +327,7 @@ class WriteBatch:
     file is written, :meth:`copy_to` copies a blob from the staged bytes.
     :meth:`commit` writes whatever is still staged, then takes the write lock
     once, fsyncs each object file the batch wrote, and only then appends
-    every index row still missing with one :meth:`Journal.append_new`. Until
+    every index row still missing with one :meth:`Journal.append`. Until
     then no staged id is in the store. Safe to share between threads.
 
     A batch is run-scoped and trusts only hashes seeded as ``verified``, ones
@@ -428,5 +428,5 @@ class WriteBatch:
             for digest in sorted(self._written):
                 fsync_file(store.object_path(digest))
             # Another writer may have indexed some of them since they were staged.
-            store._index.append_new(record.to_dict() for record in self._records.values())
+            store._index.append(record.to_dict() for record in self._records.values())
         self._records.clear()

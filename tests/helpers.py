@@ -285,20 +285,25 @@ def object_digest_reference(path, lead=None):
     return hasher.hexdigest(), None if lead is not None and not kept else b"".join(kept)
 
 
-def catch_up_append(journal, rows) -> None:
-    """``Journal.append`` as first written: parse the whole file, then append and index the rows."""
-    keyed = [(journal._key(row), row) for row in rows]
-    if not keyed:
-        return
-    text = "\n".join(canonical_json(row) for _, row in keyed)
+def catch_up_append(journal, rows) -> int:
+    """``Journal.append`` as first written: parse the whole file, then append and index the rows with new keys."""
     with journal._lock:
         journal._catch_up()
+        keyed = {}
+        for row in rows:
+            key = journal._key(row)
+            if key not in keyed and journal._find(key) is None:
+                keyed[key] = row
+        if not keyed:
+            return 0
+        text = "\n".join(canonical_json(row) for row in keyed.values())
         torn = journal._seen > journal._offset
         append_line(journal.path, text, truncate_to=journal._offset if torn else None)
-        for key, row in keyed:
+        for key, row in keyed.items():
             journal._insert(key, row)
         journal._lines += len(keyed)
         journal._offset = journal._seen = journal._offset + len(text.encode("utf-8")) + 1
+    return len(keyed)
 
 
 def resign(raw: bytes) -> bytes:

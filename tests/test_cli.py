@@ -662,6 +662,68 @@ def test_journal_row_missing_a_field_exits_3_naming_the_file(journal, row_type, 
     assert "integrity-violation" in err and f"{path}: line {line}:" in err
 
 
+@pytest.mark.parametrize("journal", ["index.jsonl", "runs.jsonl", "lineage.jsonl", "events.jsonl", "promotions.jsonl"])
+def test_a_damaged_line_fails_the_command_that_writes_its_journal_with_exit_3(journal, one_step, capsys):
+    repo, flow_run = one_step
+    repo_args = ["--repo", str(repo)]
+    assert main(["event", "emit", "--source", "code", "--ref", "main", "--version", "c2", "--id", "e1", *repo_args]) == 0
+    capsys.readouterr()
+    assert main([*flow_run, "--event", "e1"]) == 0
+    run_id = read_json(capsys)["run_id"]
+    blob = repo.parent / "blob.bin"
+    blob.write_bytes(b"new bytes")
+    writers = {
+        "index.jsonl": ["artifact", "put", str(blob), "--kind", "data", *repo_args],
+        "runs.jsonl": flow_run,
+        "lineage.jsonl": flow_run,
+        "events.jsonl": ["event", "emit", "--source", "code", "--ref", "main", "--version", "c3", "--id", "e2", *repo_args],
+        "promotions.jsonl": ["approve", run_id, "--by", "alice", *repo_args],
+    }
+    path = repo / journal
+    line = len(path.read_bytes().splitlines()) + 1
+    with open(path, "a") as fh:
+        fh.write('{"damaged": \n')
+    damaged = path.read_bytes()
+    assert main(writers[journal]) == 3
+    err = capsys.readouterr().err
+    assert "integrity-violation" in err and f"{path}: line {line}:" in err
+    assert path.read_bytes() == damaged
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+def test_a_non_finite_metric_records_the_run_without_feedback_and_exits_1(value, one_step, capsys):
+    repo, flow_run = one_step
+    manifest = repo.parent / "metrics.json"
+    manifest.write_text(json.dumps({
+        "steps": [{"name": "s", "command": "printf '{\"loss\": %s}' > {output:metrics}" % value, "inputs": {}, "outputs": ["metrics"]}],
+        "outcomes": [{"step": "s", "slot": "metrics"}],
+        "metrics_output": {"step": "s", "slot": "metrics"},
+    }))
+    assert main(["flow", "run", str(manifest), *flow_run[3:]]) == 1
+    err = capsys.readouterr().err
+    assert "malformed-metrics-document" in err and "'loss'" in err
+    (record,) = RunStore(Repository(repo), ArtifactStore(Repository(repo))).list()
+    assert record.status == "succeeded" and record.feedback_id is None
+    assert f"run:{record.run_id}" in {edge.src for edge in LineageLog(Repository(repo)).edges()}
+
+
+def test_an_auto_release_whose_flow_cannot_be_loaded_records_no_approval(one_step, capsys):
+    repo, flow_run = one_step
+    repo_args = ["--repo", str(repo)]
+    assert main(["event", "emit", "--source", "code", "--ref", "main", "--version", "c2", "--id", "e1", *repo_args]) == 0
+    capsys.readouterr()
+    assert main([*flow_run, "--event", "e1"]) == 0
+    run_id = read_json(capsys)["run_id"]
+    approve = ["approve", run_id, "--by", "alice", "--auto-release", "--json", *repo_args]
+    assert main([*approve, "--flow", str(repo.parent / "missing.json")]) == 1
+    assert "missing.json" in capsys.readouterr().err
+    promotions = repo / "promotions.jsonl"
+    assert not promotions.exists() or promotions.read_text() == ""
+    assert main([*approve, "--flow", flow_run[2]]) == 0
+    combined = read_json(capsys)
+    assert combined["approval"]["decision"] == "approved" and combined["release"]["status"] == "succeeded"
+
+
 def test_json_output_builds_no_human_table(one_step, capsys, monkeypatch):
     repo, flow_run = one_step
     assert main(flow_run) == 0

@@ -29,6 +29,10 @@ from ca_engine.tuples import RunRecord, StepOutcome
 from helpers import baseline_tuple, make_run
 
 
+# JSON numbers Python parses that are not finite floats: the last one is an int beyond the float range.
+NOT_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400")]
+
+
 def put_metrics(store, doc) -> object:
     return store.put(ArtifactKind.RESULT, json.dumps(doc).encode(), "application/json")
 
@@ -131,6 +135,16 @@ def test_extract_metrics_rejects_non_numeric(store, run_store, doc):
         extract_metrics(bundle, put_metrics(store, doc), store=store)
 
 
+@pytest.mark.parametrize("value", NOT_FINITE)
+def test_extract_metrics_rejects_non_finite_numbers(store, run_store, value):
+    record = make_run(store, run_store)
+    bundle = build_bundle(record, record.step_outcomes)
+    blob = store.put(ArtifactKind.RESULT, b'{"accuracy": 0.9, "loss": %s}' % value.encode())
+    with pytest.raises(MalformedMetricsError, match="'loss'"):
+        extract_metrics(bundle, blob, store=store)
+    assert bundle.metrics == {}
+
+
 def test_extract_metrics_rejects_non_json(store, run_store):
     record = make_run(store, run_store)
     bundle = build_bundle(record, record.step_outcomes)
@@ -207,6 +221,17 @@ def test_load_gate_policy_file(tmp_path):
     assert load_gate_policy(path).constraints[0].op == "="
     path.write_text(json.dumps({"constraints": {"metric": "a"}}))
     with pytest.raises(GatePolicyError):
+        load_gate_policy(path)
+
+
+@pytest.mark.parametrize("value", NOT_FINITE)
+def test_a_non_finite_gate_threshold_is_a_policy_error_naming_its_constraint(tmp_path, value):
+    path = tmp_path / "gates.json"
+    path.write_text(
+        '{"constraints": [{"metric": "a", "op": ">=", "threshold": 1},'
+        ' {"metric": "b", "op": "<", "threshold": %s}]}' % value
+    )
+    with pytest.raises(GatePolicyError, match=r"constraints\[1\] threshold must be a finite number"):
         load_gate_policy(path)
 
 

@@ -340,10 +340,10 @@ def test_recording_edges_keys_only_the_tail_the_candidates_and_the_runs_own_edge
     assert LineageLog(repo)._journal.covered == repo.lineage_path.stat().st_size
 
 
-def test_append_new_stats_the_journal_once_and_appends_only_new_keys(tmp_path, monkeypatch):
+def test_append_stats_the_journal_once_and_appends_only_new_keys(tmp_path, monkeypatch):
     path = tmp_path / "lineage.jsonl"
     old = [{"from": "artifact:a", "to": f"run:{n}", "role": "consumed"} for n in range(6)]
-    assert Journal(path, _edge_key).append_new([*old[:3], old[0]]) == 3
+    assert Journal(path, _edge_key).append([*old[:3], old[0]]) == 3
     Journal(path, _edge_key).write_keys()
     Journal(path, _edge_key).append(old[3:])
     journal = Journal(path, _edge_key)
@@ -357,7 +357,7 @@ def test_append_new_stats_the_journal_once_and_appends_only_new_keys(tmp_path, m
 
     new = {"from": "run:6", "to": "artifact:b", "role": "produced"}
     monkeypatch.setattr(os, "stat", counting_stat)
-    assert journal.append_new([old[1], new, old[4], new]) == 1
+    assert journal.append([old[1], new, old[4], new]) == 1
     monkeypatch.undo()
     assert len(stats) == 1
     assert [json.loads(line) for line in path.read_text().splitlines()] == [*old, new]

@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
 from ca_engine import tuples
 from ca_engine.cli import main
+from ca_engine.errors import IntegrityViolationError
 from ca_engine.flow import RecordingExecutor, parse_manifest
 from ca_engine.journal import KEY_FILE_SLACK
 from ca_engine.lineage import replay_check
 from ca_engine.pipeline import make_event
 from ca_engine.store import ArtifactKind
 from ca_engine.tuples import RunRecord, RunStore
-from ca_engine.util import canonical_json, file_stamp
-from helpers import e2e_manifest, e2e_scripts, journal_rows, make_run, seed_main, tear
+from ca_engine.util import canonical_json
+from helpers import baseline_tuple, e2e_manifest, e2e_scripts, journal_rows, make_run, seed_main, tear
 
 
 @pytest.fixture
@@ -174,9 +176,16 @@ def test_recording_a_run_takes_the_lock_once_and_fsyncs_twice(repo, store, run_s
     assert (len(fsyncs), len(locks)) == (2, 1)
 
 
+def fill_past_the_slack(repo, store, run_store) -> list[RunRecord]:
+    records = []
+    while not repo.runs_journal_path.exists() or repo.runs_journal_path.stat().st_size < KEY_FILE_SLACK:
+        records.append(make_run(store, run_store, steps=1))
+    return records
+
+
 def test_recording_a_run_on_a_fresh_store_keys_only_its_own_row(repo, store, run_store, monkeypatch):
-    for _ in range(3):
-        make_run(store, run_store)
+    # Past the slack a fresh writer reads the history through its key file, so it parses no row of it.
+    fill_past_the_slack(repo, store, run_store)
     keyed = []
     key = tuples._summary_key
 
@@ -186,16 +195,11 @@ def test_recording_a_run_on_a_fresh_store_keys_only_its_own_row(repo, store, run
 
     monkeypatch.setattr(tuples, "_summary_key", counting_key)
     fresh = RunStore(repo, store)
-    record = make_run(store, fresh)
-    assert keyed == [record.run_id]
+    record = make_run(store, fresh, steps=1)
+    # Once as given, and once as the key file's rewrite indexes the new line.
+    assert keyed == [record.run_id, record.run_id]
+    monkeypatch.undo()
     assert fresh.summaries() == expected(run_store)
-
-
-def fill_past_the_slack(repo, store, run_store) -> list[RunRecord]:
-    records = []
-    while not repo.runs_journal_path.exists() or repo.runs_journal_path.stat().st_size < KEY_FILE_SLACK:
-        records.append(make_run(store, run_store, steps=1))
-    return records
 
 
 def test_a_writer_that_has_not_read_the_journal_keeps_its_key_file_current_past_the_slack(repo, store, run_store, capsys):
@@ -210,14 +214,20 @@ def test_a_writer_that_has_not_read_the_journal_keeps_its_key_file_current_past_
     assert code == 0 and json.loads(out) == {"runs": expected(run_store)}
 
 
-def test_a_writer_appends_past_a_damaged_line_and_leaves_it_to_readers(repo, store, run_store, capsys):
+def test_a_writer_that_meets_a_damaged_line_exits_3_and_appends_no_row(repo, store, run_store, capsys):
     fill_past_the_slack(repo, store, run_store)
     first, *rest = repo.runs_journal_path.read_text().splitlines(keepends=True)
-    repo.runs_journal_path.write_text(first + '{"sha256": "' + "\n" + "".join(rest))
-    record = make_run(store, RunStore(repo, store), steps=1)
-    stamp = list(file_stamp(run_store.run_path(record.run_id).stat()))
-    last = repo.runs_journal_path.read_text().splitlines()[-1]
-    assert json.loads(last) == {"stamp": stamp, "summary": record.summary()}
+    damaged = first + '{"sha256": "' + "\n" + "".join(rest)
+    repo.runs_journal_path.write_text(damaged)
+    fresh = RunStore(repo, store)
+    run_id = fresh.mint_run_id(baseline_tuple())
+    with pytest.raises(IntegrityViolationError, match=re.escape(f"{repo.runs_journal_path}: line 2:")):  # exit 3
+        make_run(store, fresh, run_id=run_id, steps=1)
+    assert repo.runs_journal_path.read_text() == damaged
+    # The record is written, as a crash between the record and its row leaves it.
+    assert fresh.run_path(run_id).exists()
+    assert main(["run", "show", run_id, "--json", "--repo", str(repo.root)]) == 0
+    assert json.loads(capsys.readouterr().out)["run_id"] == run_id
     code, _, err = run_ls(repo, capsys, "--json")
     assert code == 3
     assert "integrity-violation" in err and f"{repo.runs_journal_path}: line 2:" in err

@@ -233,7 +233,9 @@ def test_a_held_hash_answers_without_a_stat_of_the_index(repo, history, monkeypa
 
 
 HASHES = [hashlib.sha256(bytes([n])).hexdigest() for n in range(3)]
-KEYS = [(kind, digest) for kind in ("data", "code") for digest in HASHES]
+# The hashes of the rows writers append: no other row has their keys, so each append writes its row.
+ADDED = [hashlib.sha256(b"added %d" % n).hexdigest() for n in range(3)]
+KEYS = [(kind, digest) for kind in ("data", "code") for digest in HASHES + ADDED]
 ROWS = st.fixed_dictionaries(
     {"kind": st.sampled_from(["data", "code"]), "hash": st.sampled_from(HASHES), "n": st.integers(0, 99)}
 )
@@ -260,8 +262,8 @@ def answers(journal: Journal) -> list:
             return ("raised", str(exc))
 
     out = [outcome(lambda: journal.get(key)) for key in KEYS]
-    out += [outcome(lambda: journal.holds(digest)) for digest in HASHES]
-    out += [outcome(lambda: journal.group(digest)) for digest in HASHES]
+    out += [outcome(lambda: journal.holds(digest)) for digest in HASHES + ADDED]
+    out += [outcome(lambda: journal.group(digest)) for digest in HASHES + ADDED]
     return out
 
 
@@ -338,6 +340,7 @@ CHANGES = [
     added=st.lists(ROWS, min_size=3, max_size=3),
 )
 def test_after_any_change_to_a_stamped_journal_lookups_answer_as_a_fresh_parse(rows, change, where, byte, added):
+    added = [{**row, "hash": digest} for row, digest in zip(added, ADDED)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.jsonl"
         path.write_text("".join(line + "\n" for line in FILLER), encoding="utf-8")
@@ -359,7 +362,10 @@ def test_after_any_change_to_a_stamped_journal_lookups_answer_as_a_fresh_parse(r
         # Writers that read the journal before the change append past the slack and rewrite the key file:
         # the one that stamped it, then one that trusted the stamp.
         for writer, row in ((stamping, added[1]), (trusting, added[2])):
-            writer.append([row])
+            try:
+                writer.append([row])
+            except IntegrityViolationError as exc:  # its catch-up met the damage, as a fresh parse does
+                assert answers(fresh_parse(path))[0] == ("raised", str(exc))
             assert answers(index_journal(path)) == answers(fresh_parse(path))
 
 

@@ -395,7 +395,7 @@ def test_commit_appends_no_row_for_a_blob_whose_file_is_not_written_and_fsynced(
     batch.write(ids[:1])
     failing = store.object_path(ids[2].hash)
     written, synced, appended = [], [], []
-    write, fsync_file, append_new = store_mod.atomic_write_bytes, store_mod.fsync_file, store._index.append_new
+    write, fsync_file, append = store_mod.atomic_write_bytes, store_mod.fsync_file, store._index.append
 
     def checked_write(path, data, **kwargs):
         if fault == "write" and path == failing:
@@ -413,11 +413,11 @@ def test_commit_appends_no_row_for_a_blob_whose_file_is_not_written_and_fsynced(
         rows = list(rows)
         appended.extend(row["hash"] for row in rows)
         assert all(store.object_path(row["hash"]) in synced for row in rows)
-        return append_new(rows)
+        return append(rows)
 
     monkeypatch.setattr(store_mod, "atomic_write_bytes", checked_write)
     monkeypatch.setattr(store_mod, "fsync_file", checked_fsync)
-    monkeypatch.setattr(store._index, "append_new", checked_append)
+    monkeypatch.setattr(store._index, "append", checked_append)
     if fault is None:
         batch.commit()
         assert sorted(appended) == sorted(artifact_id.hash for artifact_id in ids)
