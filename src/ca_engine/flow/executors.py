@@ -103,6 +103,13 @@ class ProcessExecutor(StepExecutor):
     process exited: a background process that keeps the output open does
     not hold up the step, and what it writes later is not captured. The
     exit is awaited through a pidfd (Linux 5.3 or later).
+
+    The command is passed whole as the one argument of ``sh -c``, and Linux
+    caps one argument at 32 pages (``MAX_ARG_STRLEN``), its NUL included. A
+    command of 131,072 bytes or more, with 4 KiB pages, fails to spawn with
+    :class:`SpawnFailureError` ("Argument list too long"). Its paths are
+    absolute, so a ``{partitions:…}`` merge reaches the limit at roughly
+    1,100–1,400 partitions, depending on the repository's path.
     """
 
     def __init__(self, timeout: float | None = None):

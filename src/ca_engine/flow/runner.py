@@ -52,6 +52,14 @@ the engine's input names is removed with a tree walk, and the worker's next
 task makes a new one. At the end of a run, aborted or not, the kept
 workdirs are removed, then the run root, which reserves the run's id
 (:meth:`RunStore.mint_run_id`) until its record exists.
+
+A task's command is rendered twice from one substitution map. The executed
+form names each input and output by its absolute path, which an in-process
+executor opens without a chdir. The recorded form, the outcome's
+``command_rendered``, names the run root ``tmp/<run-id>`` with the token
+:data:`RUN_ROOT` (``{run}``), so a record and its feedback bundle do not
+depend on where the repository lives. The token stands in for the paths
+only; the command's own text is kept as written.
 """
 
 from __future__ import annotations
@@ -86,6 +94,9 @@ from .graph import (
 
 if TYPE_CHECKING:
     from ..lineage import LineageLog
+
+# What a recorded command names the run root ``tmp/<run-id>`` with.
+RUN_ROOT = "{run}"
 
 
 @dataclass(frozen=True)
@@ -283,18 +294,23 @@ def _execute_task(ctx: _RunContext, task: _Task) -> StepOutcome:
     # The executor returns the outputs' bytes, so the workdir is torn down as soon as it returns.
     try:
         kept = _take_workdir(ctx, workdir, stamps)
+        # Each placeholder's paths, relative to the run root.
         substitution: dict[str, list[str]] = {}
         for item in task.inputs:
             path = input_paths[item.key]
             source = item.source if isinstance(item.source, ArtifactId) else ctx.outputs[item.source]
             stamps[path.name] = ctx.batch.copy_to(source, path, kept.get(path.name))
-            substitution.setdefault(item.placeholder, []).append(str(path))
+            substitution.setdefault(item.placeholder, []).append(f"{task.key}/{path.name}")
         for slot, path in declared_outputs.items():
-            substitution[f"{{output:{slot}}}"] = [str(path)]
-        if task.partition_index is not None:
-            substitution["{partition}"] = [str(task.partition_index)]
+            substitution[f"{{output:{slot}}}"] = [f"{task.key}/{path.name}"]
 
-        rendered = TOKEN_RE.sub(lambda match: " ".join(substitution[match.group(0)]), task.command)
+        def render(root: str) -> str:
+            values = {token: " ".join(f"{root}/{path}" for path in paths) for token, paths in substitution.items()}
+            if task.partition_index is not None:
+                values["{partition}"] = str(task.partition_index)
+            return TOKEN_RE.sub(lambda match: values[match.group(0)], task.command)
+
+        rendered = render(str(ctx.workdir_root))
         started = time.monotonic()
         result = ctx.executor.run(
             rendered, inputs=input_paths, outputs=declared_outputs, env=ctx.env, workdir=workdir
@@ -318,7 +334,7 @@ def _execute_task(ctx: _RunContext, task: _Task) -> StepOutcome:
         exit_code=result.exit_code,
         output_ids=output_ids,
         log_id=log_id,
-        command_rendered=rendered,
+        command_rendered=render(RUN_ROOT),
         wall_time_ms=wall_time_ms,
         env_snapshot_id=env_id,
         input_sources={item.key: item.description for item in task.inputs},
@@ -391,7 +407,8 @@ def execute(
     run_id = run_store.mint_run_id(avt)
     started_at = utc_now_iso()
 
-    # Commands run with cwd=workdir, so rendered paths must be absolute.
+    # Executed commands name absolute paths, which in-process executors open
+    # without a chdir; only the recorded form names the run root as RUN_ROOT.
     workdir_root = (run_store.repo.tmp_dir / run_id).resolve()
 
     env = {name: os.environ[name] for name in graph.env_whitelist if name in os.environ}

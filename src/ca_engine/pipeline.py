@@ -190,13 +190,13 @@ def subset_select(dataset_manifest: Sequence[str], fraction: float, seed: int) -
     if not (0 < fraction <= 1):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     threshold = round(fraction * 10**6)
-    prefix = f"{seed}:"
-
-    def bucket(item: str) -> int:
-        return int.from_bytes(hashlib.sha256((prefix + item).encode("utf-8")).digest()[:8], "big") % 10**6
-
-    # ``min`` returns the first of equal buckets, the smallest index.
-    return [item for item in dataset_manifest if bucket(item) < threshold] or [min(dataset_manifest, key=bucket)]
+    prefix = f"{seed}:".encode("utf-8")
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    buckets = [from_bytes(sha256(prefix + item.encode("utf-8")).digest()[:8], "big") % 10**6 for item in dataset_manifest]
+    # ``index`` returns the first of equal buckets, the smallest index.
+    return [item for item, bucket in zip(dataset_manifest, buckets) if bucket < threshold] or [
+        dataset_manifest[buckets.index(min(buckets))]
+    ]
 
 
 class Pipeline:

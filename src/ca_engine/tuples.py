@@ -348,19 +348,33 @@ class RunStore:
         return self.repo.runs_dir / f"{run_id}.json"
 
     def mint_run_id(self, avt: ArtifactVersionTuple) -> str:
-        """A new run id for the tuple, with the first sequence number from 1 that can be reserved.
+        """A new run id for the tuple: the first sequence number, from a start past its records, that can be reserved.
 
         An id is reserved by making ``tmp/<run-id>/`` and then finding no record
         of it. The caller removes the directory only after writing the record,
         so every id in use is held by one or the other, and no lock is needed.
-        Records are never removed, so a recorded id is passed over with no mkdir.
+        The start is an unrecorded number whose predecessor is recorded (or 1),
+        found by galloping over the records with Fibonacci steps (1, 2, 3, 5,
+        8, ...) and then bisecting, so the n-th mint of a tuple checks about
+        2.4·log2(n) records and its first three check what a scan from 1 would.
+        Records are never removed, so an unrecorded gap below the start, left
+        by a run that aborted, may be passed over.
         """
         prefix = tuple_hash(avt)[:12]
-        for seq in itertools.count(1):
+
+        def recorded(seq: int) -> bool:
+            return self.run_path(f"{prefix}-{seq:06d}").exists()
+
+        low, high = 0, 1  # ``low`` is 0 or recorded, ``high`` is not
+        while recorded(high):
+            low, high = high, high + max(low, 1)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if recorded(middle) else (low, middle)
+        for seq in itertools.count(high):
             run_id = f"{prefix}-{seq:06d}"
-            record_path = self.run_path(run_id)
-            if not record_path.exists() and make_dir(self.repo.tmp_dir / run_id):
-                if not record_path.exists():
+            if make_dir(self.repo.tmp_dir / run_id):
+                if not recorded(seq):
                     return run_id
                 os.rmdir(self.repo.tmp_dir / run_id)
 

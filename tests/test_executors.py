@@ -94,6 +94,16 @@ def test_process_executor_spawn_failure(tmp_path):
         executor.run("true", inputs={}, outputs={}, env={}, workdir=tmp_path / "does-not-exist")
 
 
+def test_a_command_of_32_pages_or_more_is_a_spawn_failure(tmp_path):
+    """Linux caps one exec argument, its NUL included, at 32 pages (MAX_ARG_STRLEN): 131,072 bytes with 4 KiB pages."""
+    limit = 32 * os.sysconf("SC_PAGE_SIZE")
+    longest = ": " + "x" * (limit - 3)
+    assert len(longest.encode()) == limit - 1
+    assert ProcessExecutor().run(longest, inputs={}, outputs={}, env={}, workdir=tmp_path).exit_code == 0
+    with pytest.raises(SpawnFailureError, match="Argument list too long"):
+        ProcessExecutor().run(longest + "x", inputs={}, outputs={}, env={}, workdir=tmp_path)
+
+
 def test_a_log_that_cannot_be_made_is_a_spawn_failure(tmp_path, monkeypatch):
     def no_descriptor_left(*args, **kwargs):
         raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))

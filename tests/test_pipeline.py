@@ -148,23 +148,24 @@ def test_subset_matches_independent_recomputation():
 
 
 def test_subset_keeps_at_least_one_item():
-    manifest = ["a", "b", "c"]
-    picks = subset_select(manifest, 1e-6, 3)
-    assert len(picks) >= 1
+    # The second manifest's duplicates tie on their bucket; the first of them is kept.
+    for manifest, seed in ((["a", "b", "c"], 3), ([f"row-{i}" for i in range(40)] * 2, 11)):
+        picks = subset_select(manifest, 1e-6, seed)
+        assert len(picks) >= 1
 
-    def bucket(item):
-        digest = hashlib.sha256(f"3:{item}".encode()).digest()
-        return int.from_bytes(digest[:8], "big") % 10**6
+        def bucket(item):
+            digest = hashlib.sha256(f"{seed}:{item}".encode()).digest()
+            return int.from_bytes(digest[:8], "big") % 10**6
 
-    if all(bucket(i) >= 1 for i in manifest):  # rule selected none; smallest hash survives
-        assert picks == [min(manifest, key=bucket)]
+        if all(bucket(i) >= 1 for i in manifest):  # rule selected none; smallest hash survives
+            assert picks == [min(manifest, key=bucket)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     manifest=st.lists(st.sampled_from(["a", "b", "item-0001", "é", ""]) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), min_size=1, max_size=40),
     fraction=st.sampled_from([1e-6, 2e-6, 1e-4, 0.01, 0.1, 0.5, 1.0]) | st.floats(1e-6, 1.0),
-    seed=st.integers(0, 5),
+    seed=st.integers(0, 5) | st.integers(-3, 10**9),
 )
 def test_subset_matches_the_tuple_and_sort_reference(manifest, fraction, seed):
     """Duplicates, tiny fractions (where the keep-one fallback picks the item) and several seeds."""

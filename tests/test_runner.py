@@ -630,8 +630,8 @@ def test_task_plan_is_pinned(repo, store, run_store):
         (
             "prep",
             None,
-            "prep <root>/prep/in.raw <root>/prep/in.aux <root>/prep/in.data_manifest.json "
-            "<root>/prep/out.out",
+            "prep {run}/prep/in.raw {run}/prep/in.aux {run}/prep/in.data_manifest.json "
+            "{run}/prep/out.out",
             {
                 "aux": "artifact:code:3febfb1a201bf3a27e566bf5bb6153b77cea27dfd0ea0db2b2f11845c5b4f6e3",
                 "raw": "pin:data",
@@ -642,23 +642,23 @@ def test_task_plan_is_pinned(repo, store, run_store):
         (
             "split",
             0,
-            "split <root>/split.p0/in.feed <root>/split.p0/out.left <root>/split.p0/out.right 0",
+            "split {run}/split.p0/in.feed {run}/split.p0/out.left {run}/split.p0/out.right 0",
             {"feed": "step:prep:out", "__data_manifest": manifest_source},
             {"left": "data", "right": "data"},
         ),
         (
             "split",
             1,
-            "split <root>/split.p1/in.feed <root>/split.p1/out.left <root>/split.p1/out.right 1",
+            "split {run}/split.p1/in.feed {run}/split.p1/out.left {run}/split.p1/out.right 1",
             {"feed": "step:prep:out", "__data_manifest": manifest_source},
             {"left": "data", "right": "data"},
         ),
         (
             "split",
             None,
-            "join <root>/split.merge/in.left.000 <root>/split.merge/in.left.001 "
-            "<root>/split.merge/in.right.000 <root>/split.merge/in.right.001 "
-            "<root>/split.merge/out.both",
+            "join {run}/split.merge/in.left.000 {run}/split.merge/in.left.001 "
+            "{run}/split.merge/in.right.000 {run}/split.merge/in.right.001 "
+            "{run}/split.merge/out.both",
             {
                 "left.000": "step:split:left[0]",
                 "left.001": "step:split:left[1]",
@@ -670,7 +670,7 @@ def test_task_plan_is_pinned(repo, store, run_store):
         (
             "report",
             None,
-            "report <root>/report/in.both <root>/report/out.metrics",
+            "report {run}/report/in.both {run}/report/out.metrics",
             {"both": "step:split:both", "__data_manifest": manifest_source},
             {"metrics": "result"},
         ),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -278,6 +279,41 @@ def test_a_recorded_id_is_not_handed_out_again_once_its_workdir_is_gone(repo, st
     shutil.rmtree(repo.tmp_dir / record.run_id)
     assert run_store.mint_run_id(record.tuple) == record.run_id[:-6] + "000002"
     assert sorted(path.name for path in repo.tmp_dir.iterdir()) == [record.run_id[:-6] + "000002"]
+
+
+def test_the_300th_mint_of_a_tuple_checks_at_most_24_records(repo, run_store, monkeypatch):
+    avt = baseline_tuple()
+    checked = []
+    exists = Path.exists
+
+    def counting(path, *args, **kwargs):
+        checked.append(path)
+        return exists(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "exists", counting)
+    counts = []
+    for _ in range(300):  # each id recorded and its directory removed, as a finished run leaves it
+        checked.clear()
+        run_id = run_store.mint_run_id(avt)
+        counts.append(len(checked))
+        run_store.run_path(run_id).touch()
+        (repo.tmp_dir / run_id).rmdir()
+    assert run_id == f"{tuple_hash(avt)[:12]}-000300"
+    assert counts[:3] == [2, 3, 4]  # what a scan from 1 checks
+    assert counts[-1] <= 24
+    assert {path.parent for path in checked} == {repo.runs_dir}
+
+
+def test_a_mint_never_hands_out_a_recorded_or_reserved_id(repo, run_store):
+    avt = baseline_tuple()
+    prefix = tuple_hash(avt)[:12]
+    for seq in (1, 2, 3, 5, 8, 9):
+        run_store.run_path(f"{prefix}-{seq:06d}").touch()
+    (repo.tmp_dir / f"{prefix}-000010").mkdir()
+    minted = [run_store.mint_run_id(avt) for _ in range(5)]
+    assert len(set(minted)) == 5
+    taken = {f"{prefix}-{seq:06d}" for seq in (1, 2, 3, 5, 8, 9, 10)}
+    assert not taken & set(minted)
 
 
 def test_record_roundtrip_and_idempotency(store, run_store):
