@@ -130,7 +130,3 @@ class NotAlignedError(EngineError):
 
 class MissingFeedbackError(EngineError):
     code = "missing-feedback"
-
-
-class MissingInputError(EngineError):
-    code = "missing-input"

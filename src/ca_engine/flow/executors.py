@@ -118,6 +118,8 @@ class ProcessExecutor(StepExecutor):
     def run(self, command, *, inputs, outputs, env, workdir) -> ExecResult:
         if not command.strip():
             raise SpawnFailureError("empty command")
+        # Errors name the task and the command's length: the command may run to 128 KiB.
+        task = f"task {workdir.name!r} ({len(command.encode())}-byte command)"
         try:
             proc = subprocess.Popen(
                 command,
@@ -130,7 +132,7 @@ class ProcessExecutor(StepExecutor):
                 start_new_session=True,
             )
         except OSError as exc:
-            raise SpawnFailureError(f"cannot spawn {command!r}: {exc}") from exc
+            raise SpawnFailureError(f"cannot spawn {task}: {exc}") from exc
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
         try:
             with proc:  # reaps the leader on the way out
@@ -149,7 +151,7 @@ class ProcessExecutor(StepExecutor):
                         os.close(pidfd)
                 log = b"".join(chunks + _read_held(fd))
         except TimeoutError as exc:
-            raise ExecutorFailureError(f"command timed out after {self.timeout}s: {command}") from exc
+            raise ExecutorFailureError(f"{task} timed out after {self.timeout}s") from exc
         collected: dict[str, bytes] = {}
         if proc.returncode == 0:
             for slot, path in outputs.items():
@@ -182,10 +184,11 @@ def scripted(outputs: Mapping[str, bytes | str] | None = None, exit_code: int = 
 
 
 def concat_merge() -> ScriptFn:
-    """Merge script that concatenates partition inputs in key (index) order."""
+    """Merge script that concatenates partition inputs ``<slot>.<index>`` by slot name, then by integer index."""
 
     def merge(*, command, inputs, outputs, env, workdir) -> ScriptedResult:
-        blob = b"".join(Path(inputs[key]).read_bytes() for key in sorted(inputs))
+        order = sorted(inputs, key=lambda key: (key.rpartition(".")[0], int(key.rpartition(".")[2])))
+        blob = b"".join(Path(inputs[key]).read_bytes() for key in order)
         return ScriptedResult({slot: blob for slot in outputs}, 0, b"merged %d parts\n" % len(inputs))
 
     return merge

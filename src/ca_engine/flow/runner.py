@@ -25,10 +25,13 @@ lineage is appended. A task or object write that raises aborts the run
 before the commit: no worker takes a task after it, the running ones
 finish, and nothing the run staged is indexed.
 
-Each input is hashed once per run: the run's write batch checks it before
-the first task that needs it gets a copy, unless the caller or the batch
-already hashed those bytes in this run. Every task gets a copy of its own,
-so a step that writes to its inputs reaches neither the store nor a sibling.
+Each input is hashed once per run by the run's write batch, unless the
+caller or the batch already hashed those bytes in this run. Before the run
+takes an id, the batch checks every content hash the tuple pins, consumed
+or not, and every artifact input; an upstream output the store held before
+the run is checked before the first task that needs it gets a copy. Every
+task gets a copy of its own, so a step that writes to its inputs reaches
+neither the store nor a sibling.
 
 A task's workdir ``tmp/<run-id>/<task>/`` is one flat directory holding its
 input copies as ``in.<file>`` and its declared outputs as ``out.<slot>``.
@@ -208,7 +211,17 @@ class _RunContext:
         self.kept: dict[int, tuple[Path, dict[str, CopyStamp | None]]] = {}
 
 
-def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: ArtifactStore) -> dict[InputRef, ArtifactId]:
+def _resolve_externals(
+    graph: FlowGraph, avt: ArtifactVersionTuple, store: ArtifactStore, batch: WriteBatch
+) -> dict[InputRef, ArtifactId]:
+    """The flow's artifact and pin inputs, once ``batch`` checked them and every other content the tuple pins."""
+    pinned: dict[str, ArtifactId] = {}
+    for pin in avt:
+        if pin.content is not None:
+            records = store.find_by_hash(pin.content)
+            if not records:
+                raise UnresolvedInputError(f"pin {pin.component!r} content {pin.content} not in store")
+            pinned[pin.component] = records[0].id
     resolved: dict[InputRef, ArtifactId] = {}
     for ref in graph.external_inputs():
         if isinstance(ref, ArtifactInput):
@@ -216,15 +229,11 @@ def _resolve_externals(graph: FlowGraph, avt: ArtifactVersionTuple, store: Artif
                 raise UnresolvedInputError(f"input artifact {ref.id} not in store")
             resolved[ref] = ref.id
         elif isinstance(ref, PinInput):
-            pin = avt.find(ref.component)
-            if pin is None:
-                raise UnresolvedInputError(f"tuple has no pin for component {ref.component!r}")
-            if pin.content is None:
-                raise UnresolvedInputError(f"pin {ref.component!r} carries no content hash")
-            records = store.find_by_hash(pin.content)
-            if not records:
-                raise UnresolvedInputError(f"pin {ref.component!r} content {pin.content} not in store")
-            resolved[ref] = records[0].id
+            if ref.component not in pinned:
+                raise UnresolvedInputError(f"tuple pins no content for component {ref.component!r}")
+            resolved[ref] = pinned[ref.component]
+    for artifact_id in [*pinned.values(), *resolved.values()]:
+        batch.check(artifact_id)
     return resolved
 
 
@@ -363,8 +372,11 @@ def execute(
 ) -> RunRecord:
     """Execute a validated flow against a version tuple and finish the run.
 
+    Before the run takes an id, content the tuple pins or the flow names
+    raises :class:`UnresolvedInputError` when the index lacks it and
+    :class:`IntegrityViolationError` when its bytes are missing or changed.
     ``verified`` holds content hashes whose stored bytes the caller hashed in
-    this run; inputs with those hashes are copied without hashing them again.
+    this run; they are trusted without hashing them again.
     Once the tasks finish, the artifacts they staged are committed. Finishing
     then stores the feedback bundle, with the metrics parsed from
     ``graph.metrics_output``, writes the run record once with its feedback
@@ -382,9 +394,9 @@ def execute(
         raise FlowValidationError("; ".join(str(v) for v in violations))
     order = topo_order(graph)
 
-    externals = _resolve_externals(graph, avt, store)
     # Trust is per run and never per store: the next run's batch checks again.
     batch = WriteBatch(store, verified)
+    externals = _resolve_externals(graph, avt, store, batch)
 
     manifest_id = None
     if data_scope.manifest_ids is not None:

@@ -296,7 +296,8 @@ class Journal:
 
     def _catch_up(self) -> None:
         size = self._size()
-        if size == self._seen:
+        # A torn tail is read again: another writer may have cut it and written as many bytes.
+        if size == self._seen == self._offset:
             return
         with storage_errors(self.path, "read"), open(self.path, "rb") as fh:
             fh.seek(self._offset)

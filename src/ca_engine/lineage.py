@@ -13,8 +13,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .errors import MissingInputError, RunNotFoundError
-from .flow.graph import ArtifactInput, FlowGraph
+from .errors import RunNotFoundError
+from .flow.graph import FlowGraph
 from .flow.runner import DataScope, execute
 from .journal import Journal
 from .repo import Repository
@@ -194,27 +194,9 @@ def replay_check(
     """Re-execute a recorded run and compare every output hash slot by slot.
 
     The replay is itself recorded as a validation run labeled with the run it
-    reproduces.
+    reproduces. Its inputs are checked as every run's are, by :func:`execute`.
     """
     original = run_store.load(run_id)
-
-    # The run reuses these checks rather than hashing each input again.
-    verified: set[str] = set()
-    for pin in original.tuple:
-        if pin.content is None:
-            continue
-        records = store.find_by_hash(pin.content)
-        if not records:
-            raise MissingInputError(f"pinned input {pin.component} ({pin.content}) is gone from the store")
-        if not store.verify(records[0].id):
-            raise MissingInputError(f"pinned input {pin.component} ({pin.content}) fails verification")
-        verified.add(pin.content)
-    for step in graph.steps:
-        for ref in step.inputs.values():
-            if isinstance(ref, ArtifactInput):
-                if not store.has(ref.id) or not store.verify(ref.id):
-                    raise MissingInputError(f"input artifact {ref.id} is missing or corrupt")
-                verified.add(ref.id.hash)
 
     scope_info = original.data_scope or {"kind": "full", "manifest": None}
     manifest_ids = None
@@ -234,7 +216,6 @@ def replay_check(
         branch=original.branch,
         labels={"replay-of": run_id},
         parallelism=parallelism,
-        verified=verified,
     )
 
     old_outputs = _output_map(original)

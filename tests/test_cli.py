@@ -554,6 +554,44 @@ def test_a_run_aborted_by_an_executor_error_frees_its_id(one_step, capsys):
     assert read_json(capsys)["run_id"].endswith("-000001")
 
 
+@pytest.fixture
+def code_pinned(ws, capsys):
+    """``ws`` with main pins whose code pin carries content that ONE_STEP does not consume.
+
+    Returns (repo root, the code pin's object file, flow run argv).
+    """
+    root, repo_args = ws
+    blob = root / "code.tar"
+    blob.write_bytes(b"pinned code")
+    assert main(["artifact", "put", str(blob), "--kind", "code", "--json", *repo_args]) == 0
+    digest = read_json(capsys)["hash"]
+    pins = ["--pin", f"code=c1@{digest}", "--pin", "data=x1", "--pin", "dependencies=d1", "--pin", "deployment=y1"]
+    assert main(["init", *pins, *repo_args]) == 0
+    manifest = root / "flow.json"
+    manifest.write_text(json.dumps(ONE_STEP))
+    capsys.readouterr()
+    repo = root / ".ca"
+    return repo, repo / "objects" / digest[:2] / digest[2:], ["flow", "run", str(manifest), "--json", *repo_args]
+
+
+def test_a_run_whose_unused_pin_was_rewritten_exits_3_and_records_nothing(code_pinned, capsys):
+    repo, obj, flow_run = code_pinned
+    obj.write_bytes(b"rewritten code")
+    assert main(flow_run) == 3
+    assert "integrity-violation" in capsys.readouterr().err
+    assert list((repo / "runs").iterdir()) == [] and list((repo / "tmp").iterdir()) == []
+
+
+def test_replay_of_a_run_whose_pinned_object_was_deleted_exits_3(code_pinned, capsys):
+    repo, obj, flow_run = code_pinned
+    assert main(flow_run) == 0
+    run_id = read_json(capsys)["run_id"]
+    obj.unlink()
+    assert main(["replay", run_id, "--flow", flow_run[2], *flow_run[4:]]) == 3
+    assert "integrity-violation" in capsys.readouterr().err
+    assert [path.stem for path in (repo / "runs").iterdir()] == [run_id]
+
+
 def _drop_tuple(text):
     doc = json.loads(text)
     del doc["tuple"]

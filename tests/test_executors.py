@@ -100,8 +100,12 @@ def test_a_command_of_32_pages_or_more_is_a_spawn_failure(tmp_path):
     longest = ": " + "x" * (limit - 3)
     assert len(longest.encode()) == limit - 1
     assert ProcessExecutor().run(longest, inputs={}, outputs={}, env={}, workdir=tmp_path).exit_code == 0
-    with pytest.raises(SpawnFailureError, match="Argument list too long"):
+    with pytest.raises(SpawnFailureError, match="Argument list too long") as raised:
         ProcessExecutor().run(longest + "x", inputs={}, outputs={}, env={}, workdir=tmp_path)
+    # The message names the task and the command's length, not the command.
+    message = str(raised.value)
+    assert len(message) < 200
+    assert repr(tmp_path.name) in message and f"{limit}-byte command" in message
 
 
 def test_a_log_that_cannot_be_made_is_a_spawn_failure(tmp_path, monkeypatch):
@@ -138,8 +142,11 @@ def test_process_executor_timeout_kills_the_whole_process_tree(command, tmp_path
     workdir = tmp_path / "slow"
     workdir.mkdir()
     started = time.monotonic()
-    with pytest.raises(ExecutorFailureError, match="timed out"):
+    with pytest.raises(ExecutorFailureError, match="timed out") as raised:
         ProcessExecutor(timeout=0.3).run(command, inputs={}, outputs={}, env={}, workdir=workdir)
+    message = str(raised.value)
+    assert len(message) < 200
+    assert "'slow'" in message and command not in message
     assert time.monotonic() - started < 1
     time.sleep(1.5)
     assert not (workdir / "late").exists()

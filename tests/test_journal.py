@@ -134,3 +134,17 @@ def test_an_append_writes_and_reads_back_as_a_catch_up_append(state, before, see
     assert {row["id"] for row in new} <= set(fresh_rows)  # each new key has a row, an older one or its own
     if appended:
         assert data.endswith(_lines([row for row in fresh_rows.values() if row in new][-appended:]))
+
+
+def test_a_torn_tail_cut_and_overwritten_to_the_same_length_is_read(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    head = _lines([{"id": 1, "v": ""}])
+    later = _lines([{"id": 0, "v": ""}])
+    path.write_bytes(head + b"x" * (len(later) + 3))
+    journal = Journal(path, by_id)
+    assert list(journal.rows()) == [1]
+    # Another writer cuts the torn tail, appends a row and leaves a torn tail of its own: the size is unchanged.
+    path.write_bytes(head + later + b"abc")
+    assert list(journal.rows()) == [1, 0]
+    assert journal.append([{"id": 2, "v": ""}]) == 1
+    assert list(Journal(path, by_id).rows()) == [1, 0, 2]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from ca_engine.errors import IntegrityViolationError, MissingInputError
+from ca_engine.errors import IntegrityViolationError
 from ca_engine.flow import RecordingExecutor, execute, parse_manifest
 from ca_engine.lineage import LineageEdge, LineageLog, artifact_ref, replay_check, run_ref
 from ca_engine.store import ArtifactId, ArtifactKind
@@ -202,7 +202,7 @@ def test_replay_missing_pinned_input(store, run_store, figure2):
     record = execute(graph, avt, executor, kind="validation", store=store, run_store=run_store)
     # Remove the pinned object from disk: provenance is broken.
     store.object_path(pinned_blob.hash).unlink()
-    with pytest.raises(MissingInputError):
+    with pytest.raises(IntegrityViolationError):
         replay_check(record.run_id, graph, executor, store=store, run_store=run_store)
 
 

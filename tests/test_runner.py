@@ -142,7 +142,8 @@ def test_merge_hash_invariant_under_completion_order(figure2, store, run_store):
     assert len(hashes) == 1
 
 
-def test_partitioned_step_with_two_output_slots(store, run_store):
+@pytest.mark.parametrize("count", [2, 1001])
+def test_partitioned_step_with_two_output_slots(count, store, run_store):
     from ca_engine.flow import concat_merge
 
     manifest = {
@@ -153,7 +154,7 @@ def test_partitioned_step_with_two_output_slots(store, run_store):
                 "inputs": {},
                 "outputs": ["left", "right"],
                 "partition": {
-                    "count": 2,
+                    "count": count,
                     "merge_command": "join {partitions:left} {partitions:right} {output:both}",
                 },
             }
@@ -162,21 +163,18 @@ def test_partitioned_step_with_two_output_slots(store, run_store):
     }
     graph = parse_manifest(json.dumps(manifest))
 
-    def partition(index):
-        def run(*, command, inputs, outputs, env, workdir):
-            return ScriptedResult({"left": b"L%d," % index, "right": b"R%d," % index}, 0, b"")
+    def partition(*, command, inputs, outputs, env, workdir):
+        index = int(workdir.name.removeprefix("split.p"))
+        return ScriptedResult({"left": b"L%d," % index, "right": b"R%d," % index}, 0, b"")
 
-        return run
-
-    executor = RecordingExecutor(
-        {"split.p0": partition(0), "split.p1": partition(1), "split.merge": concat_merge()}
-    )
+    executor = RecordingExecutor({"split.merge": concat_merge()}, default=partition)
     record = execute(
         graph, baseline_tuple(), executor, kind="validation", store=store, run_store=run_store
     )
     assert record.status == "succeeded"
-    # concat_merge reads inputs sorted by key: left.000, left.001, right.000, right.001.
-    assert store.get(record.result_ids[0]) == b"L0,L1,R0,R1,"
+    # Every left.<index> in index order, then every right.<index>: left.1000 follows left.999.
+    expected = b"".join(b"L%d," % i for i in range(count)) + b"".join(b"R%d," % i for i in range(count))
+    assert store.get(record.result_ids[0]) == expected
 
 
 def test_scheduling_soundness_on_figure2(figure2, store, run_store):
@@ -222,6 +220,52 @@ def test_unresolved_pin_input(store, run_store):
     avt = baseline_tuple(data_content="a" * 64)
     with pytest.raises(UnresolvedInputError):
         execute(graph, avt, RecordingExecutor({}), kind="validation", store=store, run_store=run_store)
+
+
+ONE_STEP = {
+    "steps": [{"name": "s", "command": "go {output:out}", "inputs": {}, "outputs": ["out"]}],
+    "outcomes": [{"step": "s", "slot": "out"}],
+}
+
+
+def test_a_pin_the_store_lacks_fails_the_run_before_it_takes_an_id(repo, store, run_store):
+    # The flow consumes no pin: every content hash the tuple pins is checked all the same.
+    graph = parse_manifest(json.dumps(ONE_STEP))
+    store.put(ArtifactKind.DATA, b"indexed before the run")
+    index = repo.index_path.read_bytes()
+    executor = RecordingExecutor(default=scripted({"out": b"out"}))
+    with pytest.raises(UnresolvedInputError, match="not in store"):
+        execute(
+            graph, baseline_tuple(data_content="a" * 64), executor, kind="validation", store=store, run_store=run_store
+        )
+    assert executor.invocations == []
+    assert repo.index_path.read_bytes() == index
+    assert list(repo.tmp_dir.iterdir()) == []
+
+
+def test_a_changed_artifact_input_fails_the_run_before_any_task_starts(repo, store, run_store):
+    blob = store.put(ArtifactKind.DATA, b"input bytes")
+    manifest = {
+        "steps": [
+            {"name": "a", "command": "go {output:out}", "inputs": {}, "outputs": ["out"]},
+            {
+                "name": "b",
+                "command": "go {input:x} {output:out}",
+                "inputs": {"x": {"artifact": str(blob)}},
+                "outputs": ["out"],
+            },
+        ],
+        "outcomes": [{"step": "a", "slot": "out"}, {"step": "b", "slot": "out"}],
+    }
+    graph = parse_manifest(json.dumps(manifest))
+    store.object_path(blob.hash).write_bytes(b"other bytes")
+    index = repo.index_path.read_bytes()
+    executor = RecordingExecutor(default=scripted({"out": b"out"}))
+    with pytest.raises(IntegrityViolationError):
+        execute(graph, baseline_tuple(), executor, kind="validation", store=store, run_store=run_store)
+    assert executor.invocations == []
+    assert repo.index_path.read_bytes() == index
+    assert list(repo.tmp_dir.iterdir()) == []
 
 
 def test_pin_input_resolves_through_store(store, run_store):
