@@ -120,6 +120,16 @@ def _emit(args, doc: dict, human: str | Callable[[], str]) -> None:
         print(text)
 
 
+def _finish_run(args, record, doc: dict, human: str) -> int:
+    """Emit ``doc``, print one stderr line per failed task of ``record``, and return 0 if it succeeded, else 1."""
+    _emit(args, doc, human)
+    for o in record.step_outcomes:
+        if o.exit_code:
+            part = "" if o.partition_index is None else f"[p{o.partition_index}]"
+            print(f"failed task: {o.step}{part} exit {o.exit_code}, log {o.log_id}", file=sys.stderr)
+    return 0 if record.status == "succeeded" else 1
+
+
 def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -259,12 +269,7 @@ def cmd_flow_run(args) -> int:
         record = ctx.pipeline.run_validation(plan, graph, executor)
     else:
         record = ctx.pipeline.run_direct(graph, executor, branch=args.branch)
-    _emit(
-        args,
-        record.summary(),
-        f"run {record.run_id} [{record.kind}] {record.status}",
-    )
-    return 0 if record.status == "succeeded" else 1
+    return _finish_run(args, record, record.summary(), f"run {record.run_id} [{record.kind}] {record.status}")
 
 
 def cmd_event_emit(args) -> int:
@@ -343,15 +348,12 @@ def cmd_approve(args) -> int:
     # The flow is loaded first, so a flow that cannot be loaded records no approval.
     graph = ctx.load_graph(args.flow) if args.auto_release else None
     request = ctx.pipeline.approve(args.run_id, args.by)
-    doc = request.to_dict()
     human = f"approved {args.run_id} (by {args.by})"
     if graph is not None:
         release = ctx.pipeline.run_release(args.run_id, graph, ProcessExecutor())
-        doc = {"approval": doc, "release": release.summary()}
-        human += f"\nrelease {release.run_id} {release.status}"
-        _emit(args, doc, human)
-        return 0 if release.status == "succeeded" else 1
-    _emit(args, doc, human)
+        doc = {"approval": request.to_dict(), "release": release.summary()}
+        return _finish_run(args, release, doc, human + f"\nrelease {release.run_id} {release.status}")
+    _emit(args, request.to_dict(), human)
     return 0
 
 
@@ -366,8 +368,7 @@ def cmd_release(args) -> int:
     ctx = _Context(args)
     graph = ctx.load_graph(args.flow)
     release = ctx.pipeline.run_release(args.run_id, graph, ProcessExecutor())
-    _emit(args, release.summary(), f"release {release.run_id} {release.status}")
-    return 0 if release.status == "succeeded" else 1
+    return _finish_run(args, release, release.summary(), f"release {release.run_id} {release.status}")
 
 
 def cmd_lineage_who_uses(args) -> int:

@@ -64,18 +64,6 @@ class UnresolvedInputError(EngineError):
     code = "unresolved-input"
 
 
-class ExecutorFailureError(EngineError):
-    code = "executor-failure"
-
-
-class SpawnFailureError(ExecutorFailureError):
-    code = "spawn-failure"
-
-
-class MissingOutputError(ExecutorFailureError):
-    code = "missing-output"
-
-
 class UnknownBranchError(EngineError):
     code = "unknown-branch"
 

@@ -3,8 +3,10 @@
 An executor receives a fully rendered command, the materialized input files,
 the expected output file locations, and the whitelisted environment. It
 returns the exit code, the captured output blobs, the combined stdout+stderr
-log, and the environment snapshot. On nonzero exit, absent outputs are not an
-error; on success every declared output must be present.
+log, and the environment snapshot. A failure of the task's own command is an
+exit code with a log line naming it, never an exception: :data:`TIMED_OUT`
+or :data:`NOT_STARTED`. On exit 0 an executor returns the declared outputs
+it found; the runner fails a task lacking one with :data:`MISSING_OUTPUT`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Union
 
-from ..errors import ExecutorFailureError, MissingOutputError, SpawnFailureError
-
 
 def env_snapshot_bytes(env: Mapping[str, str]) -> bytes:
     """Sorted KEY=VALUE lines of the whitelisted environment."""
@@ -34,6 +34,17 @@ class ExecResult:
     outputs: dict[str, bytes]
     log: bytes
     env_snapshot: bytes
+
+
+# A task's exit codes for failures of its command that the command does not report itself.
+TIMED_OUT = 124  # as GNU ``timeout`` exits
+NOT_STARTED = 127  # as ``sh`` exits for a command it cannot run
+MISSING_OUTPUT = 125  # exit 0 with a declared output absent
+
+
+def with_note(log: bytes, note: str) -> bytes:
+    """``log`` with ``note`` added as a line of its own."""
+    return log + (b"\n" if log and not log.endswith(b"\n") else b"") + note.encode() + b"\n"
 
 
 class StepExecutor(ABC):
@@ -56,8 +67,8 @@ def _remaining(deadline: float | None) -> float | None:
     return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
-def _read_until_exit(fd: int, pidfd: int, deadline: float | None) -> list[bytes]:
-    """What is written to the pipe ``fd`` until the process behind ``pidfd`` exits; TimeoutError past ``deadline``.
+def _read_until_exit(fd: int, pidfd: int, deadline: float | None, chunks: list[bytes]) -> bool:
+    """Add to ``chunks`` what the pipe ``fd`` gets until the process behind ``pidfd`` exits; False past ``deadline``.
 
     The pipe and the process are polled together, so a background process
     that keeps the pipe open does not hold up the wait. The process is left
@@ -66,14 +77,13 @@ def _read_until_exit(fd: int, pidfd: int, deadline: float | None) -> list[bytes]
     poller = select.poll()
     poller.register(fd, select.POLLIN)
     poller.register(pidfd, select.POLLIN)
-    chunks = []
     while True:
         timeout = _remaining(deadline)
         ready = poller.poll(None if timeout is None else timeout * 1000)
         if not ready:
-            raise TimeoutError
+            return False
         if any(polled == pidfd for polled, _ in ready):
-            return chunks
+            return True
         if chunk := os.read(fd, 1 << 16):
             chunks.append(chunk)
         else:  # every writer closed the pipe; wait for the exit alone
@@ -97,29 +107,31 @@ class ProcessExecutor(StepExecutor):
 
     Each step leads a session of its own. Once its process exits, or its
     timeout passes, every process left in its group is killed, so none can
-    write into a workdir or input file a later task reuses. One that starts
-    its own session (``setsid``) outlives the step: only a cgroup could hold
-    it. The log is what the step's processes wrote to its output until its
-    process exited: a background process that keeps the output open does
-    not hold up the step, and what it writes later is not captured. The
-    exit is awaited through a pidfd (Linux 5.3 or later).
+    write into a workdir or input file a later task reuses; a step past its
+    timeout exits :data:`TIMED_OUT`. A process that starts its own session
+    (``setsid``) outlives the step: only a cgroup could hold it. The log is
+    what the step's processes wrote to its output until its process exited:
+    a background process that keeps the output open does not hold up the
+    step, and what it writes later is not captured. The exit is awaited
+    through a pidfd (Linux 5.3 or later).
 
     The command is passed whole as the one argument of ``sh -c``, and Linux
     caps one argument at 32 pages (``MAX_ARG_STRLEN``), its NUL included. A
-    command of 131,072 bytes or more, with 4 KiB pages, fails to spawn with
-    :class:`SpawnFailureError` ("Argument list too long"). Its paths are
-    absolute, so a ``{partitions:…}`` merge reaches the limit at roughly
-    1,100–1,400 partitions, depending on the repository's path.
+    command of 131,072 bytes or more, with 4 KiB pages, cannot start: it
+    exits :data:`NOT_STARTED`, its log saying "Argument list too long". Its
+    paths are absolute, so a ``{partitions:…}`` merge reaches the limit at
+    roughly 1,100–1,400 partitions, depending on the repository's path.
     """
 
     def __init__(self, timeout: float | None = None):
         self.timeout = timeout
 
     def run(self, command, *, inputs, outputs, env, workdir) -> ExecResult:
-        if not command.strip():
-            raise SpawnFailureError("empty command")
-        # Errors name the task and the command's length: the command may run to 128 KiB.
+        snapshot = env_snapshot_bytes(env)
+        # A note names the task and the command's length, not the command: it may run to 128 KiB.
         task = f"task {workdir.name!r} ({len(command.encode())}-byte command)"
+        if not command.strip():
+            return ExecResult(NOT_STARTED, {}, with_note(b"", f"{task} cannot start: empty command"), snapshot)
         try:
             proc = subprocess.Popen(
                 command,
@@ -132,34 +144,34 @@ class ProcessExecutor(StepExecutor):
                 start_new_session=True,
             )
         except OSError as exc:
-            raise SpawnFailureError(f"cannot spawn {task}: {exc}") from exc
+            return ExecResult(NOT_STARTED, {}, with_note(b"", f"{task} cannot start: {exc}"), snapshot)
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
-        try:
-            with proc:  # reaps the leader on the way out
-                fd = proc.stdout.fileno()
-                pidfd = -1
+        chunks: list[bytes] = []
+        with proc:  # reaps the leader on the way out
+            fd = proc.stdout.fileno()
+            pidfd = -1
+            try:
+                pidfd = os.pidfd_open(proc.pid)
+                exited = _read_until_exit(fd, pidfd, deadline, chunks)
+            finally:
+                # The leader is not reaped yet, so its id still names only the step's group.
                 try:
-                    pidfd = os.pidfd_open(proc.pid)
-                    chunks = _read_until_exit(fd, pidfd, deadline)
-                finally:
-                    # The leader is not reaped yet, so its id still names only the step's group.
-                    try:
-                        os.killpg(proc.pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
-                    if pidfd >= 0:
-                        os.close(pidfd)
-                log = b"".join(chunks + _read_held(fd))
-        except TimeoutError as exc:
-            raise ExecutorFailureError(f"{task} timed out after {self.timeout}s") from exc
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                if pidfd >= 0:
+                    os.close(pidfd)
+            log = b"".join(chunks + _read_held(fd))
+        if not exited:
+            return ExecResult(TIMED_OUT, {}, with_note(log, f"{task} timed out after {self.timeout}s"), snapshot)
         collected: dict[str, bytes] = {}
         if proc.returncode == 0:
             for slot, path in outputs.items():
                 try:
                     collected[slot] = path.read_bytes()
-                except (FileNotFoundError, IsADirectoryError) as exc:
-                    raise MissingOutputError(f"declared output {slot!r} not produced at {path}") from exc
-        return ExecResult(proc.returncode, collected, log, env_snapshot_bytes(env))
+                except (FileNotFoundError, IsADirectoryError):
+                    pass
+        return ExecResult(proc.returncode, collected, log, snapshot)
 
 
 @dataclass(frozen=True)
@@ -208,8 +220,9 @@ class RecordingExecutor(StepExecutor):
     Scripts are keyed by the task's working-directory name, which the runner
     derives from the step: ``<step>``, ``<step>.p<i>`` for partition tasks and
     ``<step>.merge`` for merge tasks. A script is either a static
-    :class:`ScriptedResult` or a callable receiving the run context. Every
-    invocation is recorded with global start/end sequence numbers.
+    :class:`ScriptedResult` or a callable receiving the run context. A task
+    without a script exits :data:`NOT_STARTED`. Every invocation is recorded
+    with global start/end sequence numbers.
     """
 
     def __init__(self, scripts: Mapping[str, Script] | None = None, default: Script | None = None):
@@ -228,7 +241,7 @@ class RecordingExecutor(StepExecutor):
         key = workdir.name
         script = self.scripts.get(key, self.default)
         if script is None:
-            raise ExecutorFailureError(f"no script for task {key!r}")
+            return ExecResult(NOT_STARTED, {}, with_note(b"", f"no script for task {key!r}"), env_snapshot_bytes(env))
         start = self._next_seq()
         if callable(script):
             result = script(command=command, inputs=inputs, outputs=outputs, env=env, workdir=workdir)
@@ -241,8 +254,4 @@ class RecordingExecutor(StepExecutor):
             slot: value.encode("utf-8") if isinstance(value, str) else bytes(value)
             for slot, value in result.outputs.items()
         }
-        if result.exit_code == 0:
-            for slot in outputs:
-                if slot not in blobs:
-                    raise MissingOutputError(f"script for {key!r} omits declared output {slot!r}")
         return ExecResult(result.exit_code, blobs, result.log, env_snapshot_bytes(env))

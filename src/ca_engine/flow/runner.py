@@ -21,9 +21,10 @@ dependent that starts first copies its input from the staged bytes. Once
 every task has finished, one commit writes whatever is still staged, makes
 the staged objects durable and indexes them under a single write lock; then
 the run's feedback bundle is stored, the record is written once, and
-lineage is appended. A task or object write that raises aborts the run
-before the commit: no worker takes a task after it, the running ones
-finish, and nothing the run staged is indexed.
+lineage is appended. A task that exits nonzero, times out, cannot start
+or lacks a declared output is a failed outcome. What an executor or object
+write raises aborts the run before the commit: no worker takes a task
+after it, the running ones finish, and nothing the run staged is indexed.
 
 Each input is hashed once per run by the run's write batch, unless the
 caller or the batch already hashed those bytes in this run. Before the run
@@ -81,7 +82,7 @@ from ..feedback import collect
 from ..store import ArtifactId, ArtifactKind, ArtifactStore, CopyStamp, WriteBatch
 from ..tuples import ArtifactVersionTuple, RunRecord, RunStore, StepOutcome
 from ..util import canonical_json, utc_now_iso
-from .executors import StepExecutor
+from .executors import MISSING_OUTPUT, StepExecutor, with_note
 from .graph import (
     DATA_MANIFEST_SLOT,
     TOKEN_RE,
@@ -328,11 +329,16 @@ def _execute_task(ctx: _RunContext, task: _Task) -> StepOutcome:
         _keep_workdir(ctx, workdir, stamps, declared_outputs.values())
     wall_time_ms = int((time.monotonic() - started) * 1000)
 
-    log_id = ctx.batch.put(ArtifactKind.RESULT, result.log, "text/plain")
+    exit_code, log = result.exit_code, result.log
+    missing = [slot for slot in task.outputs if slot not in result.outputs]
+    if exit_code == 0 and missing:
+        exit_code = MISSING_OUTPUT
+        log = with_note(log, f"declared output(s) not produced: {', '.join(missing)}")
+    log_id = ctx.batch.put(ArtifactKind.RESULT, log, "text/plain")
     env_id = ctx.batch.put(ArtifactKind.RESULT, result.env_snapshot, "text/plain")
 
     output_ids: dict[str, ArtifactId] = {}
-    if result.exit_code == 0:
+    if exit_code == 0:
         for slot in task.outputs:
             kind = ArtifactKind.RESULT if slot in task.results else ArtifactKind.DATA
             output_ids[slot] = ctx.batch.put(kind, result.outputs[slot])
@@ -340,7 +346,7 @@ def _execute_task(ctx: _RunContext, task: _Task) -> StepOutcome:
     outcome = StepOutcome(
         step=task.step,
         partition_index=task.partition_index,
-        exit_code=result.exit_code,
+        exit_code=exit_code,
         output_ids=output_ids,
         log_id=log_id,
         command_rendered=render(RUN_ROOT),

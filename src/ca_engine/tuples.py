@@ -166,10 +166,6 @@ class StepOutcome:
     env_snapshot_id: ArtifactId
     input_sources: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def success(self) -> bool:
-        return self.exit_code == 0
-
     def to_dict(self) -> dict:
         return {
             "step": self.step,
@@ -431,7 +427,7 @@ class RunStore:
             atomic_write_text(self.run_path(run_id), canonical_json(record.to_dict()) + "\n")
 
     def load(self, run_id: str) -> RunRecord:
-        record = load_state(self.run_path(run_id), RunRecord.from_dict, None)
+        record = load_state(self.run_path(run_id), RunRecord.from_dict, None) if RUN_ID_RE.fullmatch(run_id) else None
         if record is None:
             raise RunNotFoundError(f"no run {run_id}")
         return record

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ca_engine import cli
 from ca_engine.cli import COMMANDS, _Context, build_parser, main, parse_args
+from ca_engine.flow.executors import MISSING_OUTPUT
 from ca_engine.lineage import LineageLog
 from ca_engine.repo import Repository
 from ca_engine.store import ArtifactStore
@@ -543,15 +545,82 @@ def test_a_recorded_run_id_is_never_handed_out_again(one_step, capsys):
     assert (repo / "runs" / f"{first}.json").exists() and (repo / "runs" / f"{second}.json").exists()
 
 
-def test_a_run_aborted_by_an_executor_error_frees_its_id(one_step, capsys):
+def test_a_run_whose_step_omits_its_output_is_recorded_failed(one_step, capsys):
     repo, flow_run = one_step
     broken = repo.parent / "broken.json"
     broken.write_text(json.dumps({**ONE_STEP, "steps": [{**ONE_STEP["steps"][0], "command": "true"}]}))
     assert main(["flow", "run", str(broken), *flow_run[3:]]) == 1
-    assert "missing-output" in capsys.readouterr().err
-    assert list((repo / "tmp").iterdir()) == [] and list((repo / "runs").iterdir()) == []
+    failed = read_json(capsys)
+    assert failed["status"] == "failed" and failed["run_id"].endswith("-000001")
+    (outcome,) = RunStore(Repository(repo), ArtifactStore(Repository(repo))).load(failed["run_id"]).step_outcomes
+    assert outcome.exit_code == MISSING_OUTPUT and outcome.output_ids == {}
+    assert main(["artifact", "get", str(outcome.log_id), "--repo", str(repo)]) == 0
+    assert capsys.readouterr().out == "declared output(s) not produced: out\n"
+    assert list((repo / "tmp").iterdir()) == []
     assert main(flow_run) == 0
-    assert read_json(capsys)["run_id"].endswith("-000001")
+    assert read_json(capsys)["run_id"].endswith("-000002")
+
+
+# One step of two partitions: partition 1 exits 0 without its output.
+HALF_BROKEN = {
+    "steps": [
+        {
+            "name": "s",
+            "command": "[ {partition} = 1 ] || printf done > {output:out}",
+            "inputs": {},
+            "outputs": ["out"],
+            "partition": {"count": 2, "merge_command": "cat {partitions:out} > {output:merged}"},
+        }
+    ],
+    "outcomes": [{"step": "s", "slot": "merged"}],
+}
+
+
+@pytest.mark.parametrize("command", ["flow run", "release", "approve --auto-release"])
+def test_each_failed_task_is_named_on_stderr_and_the_json_document_is_the_runs(command, one_step, capsys):
+    repo, flow_run = one_step
+    repo_args = ["--repo", str(repo)]
+    broken = repo.parent / "half-broken.json"
+    broken.write_text(json.dumps(HALF_BROKEN))
+    if command == "flow run":
+        argv = ["flow", "run", str(broken), "--json", *repo_args]
+    else:
+        assert main(["event", "emit", "--source", "code", "--ref", "main", "--version", "c2", "--id", "e1", *repo_args]) == 0
+        capsys.readouterr()
+        assert main([*flow_run, "--event", "e1"]) == 0
+        run_id = read_json(capsys)["run_id"]
+        if command == "release":
+            assert main(["approve", run_id, "--by", "alice", *repo_args]) == 0
+            argv = ["release", run_id, "--flow", str(broken), "--json", *repo_args]
+        else:
+            argv = ["approve", run_id, "--by", "alice", "--auto-release", "--flow", str(broken), "--json", *repo_args]
+        capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    summary = doc["release"] if command.startswith("approve") else doc
+    record = RunStore(Repository(repo), ArtifactStore(Repository(repo))).load(summary["run_id"])
+    assert summary == record.summary() and record.status == "failed"
+    (failed,) = [o for o in record.step_outcomes if o.exit_code]
+    assert captured.err == f"failed task: s[p1] exit {MISSING_OUTPUT}, log {failed.log_id}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "show", "{bad}"], ["gate", "eval", "{bad}"], ["run", "diff", "{bad}", "{run}"],
+     ["run", "diff", "{run}", "{bad}"], ["approve", "{bad}", "--by", "alice"]],
+    ids=["run-show", "gate-eval", "run-diff-a", "run-diff-b", "approve"],
+)
+def test_an_id_that_is_not_a_run_id_names_no_run(argv, one_step, capsys):
+    repo, flow_run = one_step
+    assert main(flow_run) == 0
+    run_id = read_json(capsys)["run_id"]
+    # Neither a file outside runs/ nor a record under a name that is no run id is read as a record.
+    assert (repo / "config.json").is_file()
+    shutil.copy(repo / "runs" / f"{run_id}.json", repo / "runs" / "latest.json")
+    for bad in ("../config", "latest"):
+        assert main([*(word.format(bad=bad, run=run_id) for word in argv), "--repo", str(repo)]) == 1
+        assert capsys.readouterr().err == f"error[run-not-found]: no run {bad}\n"
 
 
 @pytest.fixture

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import errno
+import json
 import os
 import time
 
 import pytest
 
-from ca_engine.errors import ExecutorFailureError, MissingOutputError, SpawnFailureError
+from ca_engine.flow import execute, parse_manifest
 from ca_engine.flow.executors import (
+    MISSING_OUTPUT,
+    NOT_STARTED,
+    TIMED_OUT,
+    ExecResult,
     ProcessExecutor,
     RecordingExecutor,
     env_snapshot_bytes,
     scripted,
 )
+from helpers import baseline_tuple
 
 
 def test_env_snapshot_is_sorted_key_value_lines():
@@ -36,16 +42,20 @@ def test_recording_executor_without_script_fails(tmp_path):
     workdir = tmp_path / "ghost"
     workdir.mkdir()
     executor = RecordingExecutor({})
-    with pytest.raises(ExecutorFailureError):
-        executor.run("x", inputs={}, outputs={}, env={}, workdir=workdir)
+    result = executor.run("x", inputs={}, outputs={}, env={"K": "v"}, workdir=workdir)
+    assert result.exit_code == NOT_STARTED
+    assert result.log == b"no script for task 'ghost'\n"
+    assert result.env_snapshot == b"K=v\n"
+    assert executor.invocations == []
 
 
-def test_recording_executor_flags_missing_declared_output(tmp_path):
+def test_recording_executor_returns_only_the_outputs_its_script_gives(tmp_path):
+    # Whether every declared output is there is the runner's check, not the executor's.
     workdir = tmp_path / "s"
     workdir.mkdir()
-    executor = RecordingExecutor({"s": scripted({})})
-    with pytest.raises(MissingOutputError):
-        executor.run("x", inputs={}, outputs={"out": workdir / "out"}, env={}, workdir=workdir)
+    executor = RecordingExecutor({"s": scripted({"other": "x"})})
+    result = executor.run("x", inputs={}, outputs={"out": workdir / "out"}, env={}, workdir=workdir)
+    assert (result.exit_code, result.outputs, result.log) == (0, {"other": b"x"}, b"")
 
 
 def test_process_executor_copy_roundtrip(tmp_path):
@@ -83,15 +93,21 @@ def test_process_executor_nonzero_exit_keeps_log_and_raises_nothing(tmp_path):
 def test_process_executor_missing_output_on_success(command, tmp_path):
     workdir = tmp_path / "m"
     workdir.mkdir()
+    (workdir / "kept").write_bytes(b"k")
     executor = ProcessExecutor()
-    with pytest.raises(MissingOutputError):
-        executor.run(command, inputs={}, outputs={"out": workdir / "out"}, env={}, workdir=workdir)
+    outputs = {"out": workdir / "out", "kept": workdir / "kept"}
+    result = executor.run(command, inputs={}, outputs=outputs, env={}, workdir=workdir)
+    # The executor returns the outputs it found; the runner fails the task that lacks one.
+    assert (result.exit_code, result.outputs, result.log) == (0, {"kept": b"k"}, b"")
 
 
 def test_process_executor_spawn_failure(tmp_path):
     executor = ProcessExecutor()
-    with pytest.raises(SpawnFailureError):
-        executor.run("true", inputs={}, outputs={}, env={}, workdir=tmp_path / "does-not-exist")
+    result = executor.run("true", inputs={}, outputs={}, env={}, workdir=tmp_path / "does-not-exist")
+    assert result.exit_code == NOT_STARTED
+    assert result.outputs == {}
+    assert result.log.startswith(b"task 'does-not-exist' (4-byte command) cannot start: ")
+    assert b"No such file or directory" in result.log and result.log.count(b"\n") == 1
 
 
 def test_a_command_of_32_pages_or_more_is_a_spawn_failure(tmp_path):
@@ -100,10 +116,11 @@ def test_a_command_of_32_pages_or_more_is_a_spawn_failure(tmp_path):
     longest = ": " + "x" * (limit - 3)
     assert len(longest.encode()) == limit - 1
     assert ProcessExecutor().run(longest, inputs={}, outputs={}, env={}, workdir=tmp_path).exit_code == 0
-    with pytest.raises(SpawnFailureError, match="Argument list too long") as raised:
-        ProcessExecutor().run(longest + "x", inputs={}, outputs={}, env={}, workdir=tmp_path)
-    # The message names the task and the command's length, not the command.
-    message = str(raised.value)
+    result = ProcessExecutor().run(longest + "x", inputs={}, outputs={}, env={}, workdir=tmp_path)
+    assert result.exit_code == NOT_STARTED
+    # The log names the task and the command's length, not the command.
+    message = result.log.decode()
+    assert "Argument list too long" in message
     assert len(message) < 200
     assert repr(tmp_path.name) in message and f"{limit}-byte command" in message
 
@@ -113,8 +130,9 @@ def test_a_log_that_cannot_be_made_is_a_spawn_failure(tmp_path, monkeypatch):
         raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
     monkeypatch.setattr(os, "pipe", no_descriptor_left)
-    with pytest.raises(SpawnFailureError, match="Too many open files"):
-        ProcessExecutor().run("true", inputs={}, outputs={}, env={}, workdir=tmp_path)
+    result = ProcessExecutor().run("true", inputs={}, outputs={}, env={}, workdir=tmp_path)
+    assert result.exit_code == NOT_STARTED
+    assert result.log == f"task {tmp_path.name!r} (4-byte command) cannot start: [Errno 24] Too many open files\n".encode()
 
 
 def test_a_log_larger_than_a_pipe_buffer_is_captured_whole(tmp_path):
@@ -142,19 +160,22 @@ def test_process_executor_timeout_kills_the_whole_process_tree(command, tmp_path
     workdir = tmp_path / "slow"
     workdir.mkdir()
     started = time.monotonic()
-    with pytest.raises(ExecutorFailureError, match="timed out") as raised:
-        ProcessExecutor(timeout=0.3).run(command, inputs={}, outputs={}, env={}, workdir=workdir)
-    message = str(raised.value)
-    assert len(message) < 200
-    assert "'slow'" in message and command not in message
+    result = ProcessExecutor(timeout=0.3).run(command, inputs={}, outputs={}, env={}, workdir=workdir)
     assert time.monotonic() - started < 1
+    assert result.exit_code == TIMED_OUT
+    assert result.outputs == {}
+    # What the step wrote is kept, and one line after it names the task and the timeout, not the command.
+    written, note = result.log.rstrip(b"\n").rpartition(b"\n")[::2]
+    assert set(written.split()) <= {b"tick"}
+    assert note == f"task 'slow' ({len(command.encode())}-byte command) timed out after 0.3s".encode()
     time.sleep(1.5)
     assert not (workdir / "late").exists()
 
 
 def test_process_executor_rejects_empty_command(tmp_path):
-    with pytest.raises(SpawnFailureError):
-        ProcessExecutor().run("  ", inputs={}, outputs={}, env={}, workdir=tmp_path)
+    result = ProcessExecutor().run("  ", inputs={}, outputs={}, env={}, workdir=tmp_path)
+    assert result.exit_code == NOT_STARTED
+    assert result.log == f"task {tmp_path.name!r} (2-byte command) cannot start: empty command\n".encode()
 
 
 def test_process_executor_passes_whitelisted_env(tmp_path):
@@ -246,3 +267,62 @@ def test_a_background_process_holding_the_output_does_not_hold_up_the_step(tmp_p
     while group_members(group) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert group_members(group) == []
+
+
+# Every failure of a task's own command, by executor: a process can time out, and either can fail to start
+# (a process in a missing workdir, a recording without a script) or exit 0 without a declared output.
+CONTRACT = [
+    ("process", "timeout"),
+    ("process", "cannot-start"),
+    ("recording", "cannot-start"),
+    ("process", "missing-output"),
+    ("recording", "missing-output"),
+]
+
+
+def contract_executor(kind, failure):
+    if kind == "process":
+        return ProcessExecutor(timeout=0.3), "echo started; sleep 5" if failure == "timeout" else "echo started"
+    scripts = {} if failure == "cannot-start" else {"task": scripted({"other": "x"}, log=b"started\n")}
+    return RecordingExecutor(scripts), "anything"
+
+
+@pytest.mark.parametrize("kind,failure", CONTRACT, ids=[f"{kind}-{failure}" for kind, failure in CONTRACT])
+def test_a_failure_of_the_command_is_an_exit_code_never_an_exception(kind, failure, tmp_path):
+    workdir = tmp_path / "task"
+    if failure != "cannot-start":
+        workdir.mkdir()
+    executor, command = contract_executor(kind, failure)
+    result = executor.run(command, inputs={}, outputs={"out": workdir / "out"}, env={}, workdir=workdir)
+    assert isinstance(result, ExecResult)
+    if failure == "timeout":
+        assert result.exit_code == TIMED_OUT
+        assert result.log.startswith(b"started\n") and result.log.endswith(b" timed out after 0.3s\n")
+    elif failure == "cannot-start":
+        assert result.exit_code == NOT_STARTED
+        assert result.log.count(b"\n") == 1 and b"'task'" in result.log
+    else:
+        # Exit 0: the executor returns the outputs it found and leaves the verdict to the runner.
+        assert result.exit_code == 0
+        assert "out" not in result.outputs and result.log == b"started\n"
+    if result.exit_code:
+        assert result.outputs == {}
+
+
+@pytest.mark.parametrize("kind", ["process", "recording"])
+def test_the_runner_fails_a_task_that_exits_0_without_a_declared_output(kind, repo, store, run_store):
+    manifest = {
+        "steps": [{"name": "task", "command": "echo started; : {output:out}", "inputs": {}, "outputs": ["out"]}],
+        "outcomes": [{"step": "task", "slot": "out"}],
+    }
+    executor, _ = contract_executor(kind, "missing-output")
+    record = execute(
+        parse_manifest(json.dumps(manifest)), baseline_tuple(), executor,
+        kind="validation", store=store, run_store=run_store,
+    )
+    assert record.status == "failed"
+    (outcome,) = record.step_outcomes
+    assert (outcome.exit_code, outcome.output_ids) == (MISSING_OUTPUT, {})
+    assert store.get(outcome.log_id) == b"started\ndeclared output(s) not produced: out\n"
+    assert run_store.load(record.run_id) == record
+    assert list(repo.tmp_dir.iterdir()) == []

@@ -18,16 +18,14 @@ import pytest
 import ca_engine.store as store_mod
 from ca_engine.cli import main
 from ca_engine.errors import (
-    ExecutorFailureError,
     FlowValidationError,
     IntegrityViolationError,
-    MissingOutputError,
     StorageError,
     UnresolvedInputError,
 )
 from ca_engine.feedback import load_bundle
 from ca_engine.flow import DataScope, RecordingExecutor, execute, parse_manifest, scripted
-from ca_engine.flow.executors import ScriptedResult, StepExecutor
+from ca_engine.flow.executors import MISSING_OUTPUT, NOT_STARTED, ScriptedResult, StepExecutor
 from ca_engine.lineage import replay_check
 from ca_engine.repo import Repository
 from ca_engine.store import ArtifactKind, sha256_hex
@@ -326,20 +324,31 @@ def test_data_manifest_slot_requires_scope_manifest(store, run_store):
     assert record.data_scope["manifest"] is not None
 
 
-def test_executor_infrastructure_failure_aborts(figure2, store, run_store):
-    graph, _, _ = figure2
+def test_a_missing_declared_output_is_a_failed_outcome(figure2, store, run_store, lineage_log):
+    graph, src, _ = figure2
     scripts = figure2_scripts()
-    scripts["step1"] = scripted({})  # omits declared output -> missing-output
-    with pytest.raises(MissingOutputError):
-        run_figure2(graph, store, run_store, scripts=scripts)
+    scripts["step1"] = scripted({}, log=b"ingested\n")  # exits 0 without its declared output
+    record, _ = run_figure2(graph, store, run_store, scripts=scripts, lineage=lineage_log)
+    assert record.status == "failed"
+    (step1,) = outcomes_of(record, "step1")
+    assert (step1.exit_code, step1.output_ids) == (MISSING_OUTPUT, {})
+    assert store.get(step1.log_id) == b"ingested\ndeclared output(s) not produced: out\n"
+    # It releases no dependent, and the independent branch finishes.
+    assert outcomes_of(record, "step4") == []
+    assert all(o.exit_code == 0 for o in outcomes_of(record, "step2") + outcomes_of(record, "step3"))
+    assert run_store.load(record.run_id) == record
+    assert load_bundle(record, store=store).run_id == record.run_id
+    assert lineage_log.runs_using(src, run_store=run_store) == [record.run_id]
 
 
 def test_executor_error_leaves_no_workdir(figure2, repo, store, run_store):
     graph, _, _ = figure2
     scripts = figure2_scripts()
     scripts["step1"] = scripted({})
-    with pytest.raises(MissingOutputError):
-        run_figure2(graph, store, run_store, scripts=scripts)
+    del scripts["step2"]  # a task the executor cannot start
+    record, _ = run_figure2(graph, store, run_store, scripts=scripts)
+    assert record.status == "failed"
+    assert {o.step: o.exit_code for o in record.step_outcomes} == {"step1": MISSING_OUTPUT, "step2": NOT_STARTED}
     assert list(repo.tmp_dir.iterdir()) == []
 
 
@@ -841,11 +850,11 @@ def test_an_aborted_run_indexes_nothing_and_the_next_run_rewrites_what_it_staged
     rows = journal_rows(repo.index_path)
 
     def lose_backend(**kwargs):
-        raise ExecutorFailureError("executor lost its backend")
+        raise StorageError("executor lost its backend")
 
     failing = fan_executor()
     failing.scripts["fan.p2"] = lose_backend
-    with pytest.raises(ExecutorFailureError):
+    with pytest.raises(StorageError):
         execute(graph, avt, failing, kind="validation", store=store, run_store=run_store, parallelism=1)
     assert {"fan.p0", "fan.p1"} <= {i.key for i in failing.invocations}
     assert journal_rows(repo.index_path) == rows
@@ -875,7 +884,7 @@ def test_an_aborted_run_starts_no_further_task(repo, store, run_store, paralleli
 
     def lose_backend(**kwargs):
         raised.set()
-        raise ExecutorFailureError("executor lost its backend")
+        raise StorageError("executor lost its backend")
 
     def outlast_the_failure(**kwargs):
         # Hold the second worker until fan.p2 has raised, so fan.p3 is still queued then.
@@ -887,7 +896,7 @@ def test_an_aborted_run_starts_no_further_task(repo, store, run_store, paralleli
     failing.scripts["fan.p2"] = lose_backend
     if parallelism > 1:
         failing.scripts["fan.p1"] = outlast_the_failure
-    with pytest.raises(ExecutorFailureError):
+    with pytest.raises(StorageError):
         execute(
             graph, baseline_tuple(data_content=blob.hash), failing, kind="validation", store=store,
             run_store=run_store, parallelism=parallelism,
@@ -1063,11 +1072,11 @@ def test_no_worker_thread_outlives_a_run(store, run_store):
     assert threading.active_count() == before
 
     def lose_backend(**kwargs):
-        raise ExecutorFailureError("executor lost its backend")
+        raise StorageError("executor lost its backend")
 
     failing = fan_executor()
     failing.scripts["fan.p1"] = lose_backend
-    with pytest.raises(ExecutorFailureError):
+    with pytest.raises(StorageError):
         execute(graph, avt, failing, kind="validation", store=store, run_store=run_store, parallelism=4)
     assert threading.active_count() == before
 
